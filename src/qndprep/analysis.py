@@ -13,7 +13,12 @@ Three engines compute the same statistics:
   the measurement-and-correction channel.  All aggregate statistics
   (marginals, success probabilities, average fidelity) are linear in the
   density matrix, so this is exact with no pruning at all, at the cost of
-  not resolving individual outcome paths.
+  not resolving individual outcome paths.  Inside a repeat-until-success
+  sequence the ensemble lives in the measurement frame as signed-band
+  blocks, indexed by the offset k2 - k1, k2 and k2', so one
+  measure-and-correct step costs O(d^4) with d = N + 1; the O(d^5) frame
+  changes of the full (d, d, d, d) tensor happen only at sequence
+  boundaries.  N = 30 with L = 25 and three rounds takes seconds.
 * ``monte_carlo_estimates`` cross-checks both by Born-rule sampling.
 """
 
@@ -24,16 +29,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fock import TwoModeState, mmes_state, rotation_matrix
+from .fock import TwoModeState, rotation_matrix
 from .measurement import (
     BasisSpec,
     ProjectorSpec,
     _band_project_z,
     basis_unitary,
-    from_measurement_frame,
+    from_measurement_frame,  # noqa: F401  perfbench/tracing.py wraps this binding
+    projector_apply,
     to_measurement_frame,
 )
-from .protocol import ProtocolConfig, resolve_angle, run_protocol
+from .protocol import ProtocolConfig, apply_correction, resolve_angle, run_protocol
 
 __all__ = [
     "CorrectionSpec",
@@ -59,7 +65,7 @@ class CorrectionSpec:
 
     delta: int
     basis: BasisSpec = "z"
-    theta: Optional[float] = None  # defaults to pi * delta / N
+    theta: Optional[float] = None  # defaults to protocol.adaptive_angle
 
 
 OperatorSpec = Union[ProjectorSpec, CorrectionSpec]
@@ -126,20 +132,9 @@ def fock_grid(
     state = initial
     for op in operator_string:
         if isinstance(op, ProjectorSpec):
-            framed = to_measurement_frame(state, op.basis)
-            projected = _band_project_z(framed.amplitudes, op.delta, op.branch_sign)
-            state = from_measurement_frame(
-                TwoModeState(state.basis, projected), op.basis
-            )
+            state = projector_apply(state, op)
         elif isinstance(op, CorrectionSpec):
-            theta = op.theta
-            if theta is None:
-                theta = np.pi * op.delta / state.n_atoms
-            rot = _correction_matrix(theta, state.basis)
-            framed = to_measurement_frame(state, op.basis)
-            state = from_measurement_frame(
-                TwoModeState(state.basis, rot @ framed.amplitudes), op.basis
-            )
+            state = apply_correction(state, op.delta, op.basis, op.theta)
         else:
             raise TypeError(f"unsupported operator spec {op!r}")
     return to_measurement_frame(state, grid_basis).probability_grid()
@@ -403,14 +398,14 @@ class ChannelResult:
         return float(self.step_marginals[key].sum())
 
 
-def _frame_vec_unitary(basis: BasisSpec, fock_basis) -> np.ndarray:
-    """Unitary on vec(psi) implementing the measurement-frame transform."""
-    d = fock_basis.dim
-    if basis == "z":
-        return np.eye(d * d, dtype=complex)
-    u_dag = basis_unitary(basis, fock_basis).conj().T
-    # framed psi = U^dag psi U^dag^T, so vec(psi) -> kron(U^dag, U^dag) vec(psi)
-    return np.kron(u_dag, u_dag)
+def _frame_change(rho: np.ndarray, u: Optional[np.ndarray]) -> np.ndarray:
+    """(u x u) rho (u x u)^dagger on rho[k1, k2, k1', k2']; None is 1."""
+    if u is None:
+        return rho
+    d = u.shape[0]
+    rho = (u @ rho.reshape(d, -1)).reshape(d, d, d * d)  # k1
+    rho = (u @ rho).reshape(d * d, d, d)  # k2
+    return (u.conj() @ rho @ u.conj().T).reshape(d, d, d, d)  # k1', k2'
 
 
 def channel_statistics(
@@ -419,11 +414,18 @@ def channel_statistics(
 ) -> ChannelResult:
     """Exact protocol statistics via branch-ensemble (density matrix) evolution.
 
-    Each measurement step is a Kraus channel over (Delta, sign) outcomes;
-    sequence bookkeeping (termination at Delta = 0, the repeat cap) is a
-    classical label tracked as separate density-matrix components.  Only
-    outcome-indexed angle rules are supported, since a state-dependent rule
-    breaks the linearity this engine relies on.
+    Sequence bookkeeping (termination at Delta = 0, the repeat cap) is a
+    classical label tracked as separate components.  Only outcome-indexed
+    angle rules are supported: a state-dependent rule is not linear.
+
+    Within a sequence each component is held in the measurement frame as
+    signed-band blocks, s = k2 - k1: ``blocks[0, s, k2, k2']`` is
+    rho[k2-s, k2, k2'-s, k2'] and, under ``plus``/``minus``,
+    ``blocks[1, s, k2, k2']`` is sign * rho[k2-s, k2, k2'+s, k2'].  ``split``
+    has no such coherence: (m+ m+^T + m- m-^T) / 2 = A A^T + B B^T.  The
+    correction acts on ensemble 1 and keeps k2, so "drop Delta = 0, correct,
+    measure" maps blocks to blocks in O(d^4), d = N + 1; full (d, d, d, d)
+    tensors and their O(d^5) frame changes appear only between sequences.
     """
     if initial.n_atoms != config.n_atoms:
         raise ValueError("initial state and config disagree on n_atoms")
@@ -433,114 +435,99 @@ def channel_statistics(
             "the state-dependent 'optimized' rule is not linear in the "
             "branch ensemble"
         )
+    sign = {"split": 0.0, "plus": 1.0, "minus": -1.0}.get(config.sign_rule)
+    if sign is None:
+        raise ValueError(f"unknown sign rule {config.sign_rule!r}")
+    kinds = 1 if sign == 0.0 else 2
 
     n = config.n_atoms
     d = n + 1
-    dim = d * d
-    n_bases = len(config.basis_order)
-    split = config.sign_rule == "split"
-    fixed_sign = {"plus": +1, "minus": -1}.get(config.sign_rule)
-
-    # band masks on vec(psi): +1 on k2 - k1 = delta, sign on k1 - k2 = delta
-    k1, k2 = np.divmod(np.arange(dim), d)
-    masks = {}
-    for delta in range(d):
-        for sign in ((+1,) if delta == 0 else (+1, -1)):
-            m = np.zeros(dim)
-            m[k2 - k1 == delta] = 1.0
-            m[k1 - k2 == delta] = float(sign)
-            masks[(delta, sign)] = m
-
-    # correction on vec(psi): psi -> R psi with R = exp(+i S^y theta/2)
-    corrections = {}
-    eye = np.eye(d)
+    n_bands = 2 * n + 1
+    k = np.arange(d)
+    # k1 = k2 - s of the band-s cell in column k2, and whether it exists
+    k1 = k[None, :] - np.arange(-n, n + 1)[:, None]
+    valid = (k1 >= 0) & (k1 <= n)
+    k1 = np.clip(k1, 0, n)
+    # column index and weight of each block kind
+    pairs = [(k1, valid[:, :, None] & valid[:, None, :]),
+             (k1[::-1], sign * (valid[:, :, None] & valid[::-1, None, :]))][:kinds]
+    # R_|s| = exp(+i S^y theta/2) is real; band 0 ends the sequence
+    rots = np.zeros((n_bands, d, d))
     for delta in range(1, d):
         theta = resolve_angle(config.angle_rule, delta, n)
-        corrections[delta] = np.kron(_correction_matrix(theta, initial.basis), eye)
-
-    frames = {b: _frame_vec_unitary(b, initial.basis) for b in config.basis_order}
-    mmes_vec = mmes_state(initial.basis).amplitudes.reshape(dim)
-
+        rots[n + delta] = _correction_matrix(theta, initial.basis).real
+        rots[n - delta] = rots[n + delta]
+    # col[s, a, k2] = R_|s|[a, k2 - s]: where R takes the band-s cell, and
+    # gat[t, s, k2] = R_|s|[k2 - t, k2 - s]: the part of it on band t
+    col = rots[np.arange(n_bands)[:, None, None], k[:, None], k1[:, None, :]]
+    col *= valid[:, None, :]
+    gat = col[:, k1, k].transpose(1, 0, 2) * valid[:, None, :]
+    # a band-t row meets band t (kind 0) or, with the sign, band -t (kind 1)
+    gat_col = (gat, sign * gat[::-1])[:kinds]
+    # per band s != 0 and input kind: rows (band-s cells), cols (band-+s
+    # cells), the bands ts that R_|s| reaches, weights per output kind
+    terms = []
+    for s in range(-n, n + 1):
+        rows = slice(max(s, 0), d + min(s, 0))
+        ts = slice(max(s, 0), n_bands + min(s, 0))
+        for kin, sc in ((0, s), (1, -s))[: kinds if s else 0]:
+            cols = slice(max(sc, 0), d + min(sc, 0))
+            a = gat[ts, n + s, rows, None]
+            coef = np.stack([a * g[ts, n + sc, None, cols] for g in gat_col])
+            terms.append((kin, n + s, ts, rows, cols, coef))
+    # corrected cap part: rho[a, k, b, l] = sum col[s, a, k] x[s, k, l] col[+-s, b, l]
+    col_a = col.transpose(2, 1, 0)[:, None]
+    col_b = [c.transpose(2, 0, 1) for c in (col, col[::-1])]
+    frames = [basis_unitary(basis, initial.basis) for basis in config.basis_order]
     marginals: Dict[StepKey, np.ndarray] = {}
     round_success = np.zeros(config.max_rounds)
     round_first_success = np.zeros(config.max_rounds)
     round_fidelity = np.zeros(config.max_rounds)
 
-    def run_sequence(rho: np.ndarray, r: int, b: int):
-        """One repeat-until-success sequence on a branch-ensemble component.
-
-        Returns (first_zero, late_zero, capped) components in the lab frame:
-        terminated at Delta=0 on the first try, terminated later, or hit the
-        repeat cap (with the last correction applied).
-        """
-        w = frames[config.basis_order[b]]
-        active = w @ rho @ w.conj().T
-        first_zero = np.zeros_like(active)
-        late_zero = np.zeros_like(active)
+    def run_sequence(comps: List[np.ndarray], r: int, b: int) -> List[np.ndarray]:
+        """One repeat-until-success sequence on lab-frame [total] or [first,
+        clean, total] (emptied once measured); returns the new [first, clean,
+        total].  ``total``, the whole ensemble, sets the step marginals."""
+        uh = None if frames[b] is None else frames[b].conj().T
+        blocks = np.array([
+            [f[k1[:, :, None], k[:, None], kc[:, None, :], k] * w for kc, w in pairs]
+            for f in (_frame_change(c, uh) for c in comps)
+        ])
+        comps.clear()
+        first_zero, blocks = blocks[0, 0, n], blocks[-2:]
+        zero = np.zeros_like(blocks[:, 0, n])
         for j in range(config.max_repeats):
-            key = (r, b, j)
-            if key not in marginals:
-                marginals[key] = np.zeros(d)
-            nxt = np.zeros_like(active)
-            for delta in range(d):
-                if delta == 0:
-                    branches = ((+1, 1.0),)
-                elif split:
-                    branches = ((+1, 0.5), (-1, 0.5))
-                else:
-                    branches = ((fixed_sign, 1.0),)
-                for sign, weight in branches:
-                    m = masks[(delta, sign)]
-                    comp = weight * (np.outer(m, m) * active)
-                    marginals[key][delta] += float(np.trace(comp).real)
-                    if delta == 0:
-                        if j == 0:
-                            first_zero += comp
-                        else:
-                            late_zero += comp
-                    else:
-                        rot = corrections[delta]
-                        nxt += rot @ comp @ rot.conj().T
-            active = nxt
-        wc = w.conj().T
-        return (
-            wc @ first_zero @ w,
-            wc @ late_zero @ w,
-            wc @ active @ w,  # capped, last correction already applied
-        )
+            if j:  # drop band 0, correct every other band, measure again
+                prev, blocks = blocks, np.zeros_like(blocks)
+                for kin, s_idx, ts, rows, cols, coef in terms:
+                    part = prev[:, kin, s_idx, None, None, rows, cols]
+                    blocks[:, :, ts, rows, cols] += coef * part
+            blocks[:, 1:, n] = 0.0  # band 0 has no coherence
+            zero += blocks[:, 0, n]
+            tr = np.einsum("skk->s", blocks[-1, 0]).real
+            marginals[(r, b, j)] = np.append(tr[n], tr[n + 1:] + tr[n - 1::-1])
+        capped = sum(
+            (col_a * blocks[-1, kin].transpose(1, 2, 0)[:, :, None]) @ col_b[kin]
+            for kin in range(kinds)
+        ).transpose(2, 0, 3, 1)
+        out = []
+        for i, zero_block in enumerate((first_zero, zero[0], zero[-1])):
+            part = capped if i == 2 else np.zeros((d, d, d, d), complex)
+            np.einsum("kkll->kl", part)[...] += zero_block  # band 0 at rho[k, k, l, l]
+            out.append(_frame_change(part, frames[b]))
+        return out
 
-    rho = np.outer(
-        initial.amplitudes.reshape(dim), initial.amplitudes.reshape(dim).conj()
-    )
-    total_mass = float(np.trace(rho).real)
+    rho = np.einsum("ij,kl->ijkl", initial.amplitudes, initial.amplitudes.conj())
     for r in range(config.max_rounds):
-        # label: (all sequences so far opened with 0, none hit the cap)
-        components = {(True, True): rho}
-        for b in range(n_bases):
-            updated: Dict[Tuple[bool, bool], np.ndarray] = {}
-            for (first_ok, clean), comp in components.items():
-                first_zero, late_zero, capped = run_sequence(comp, r, b)
-                for lbl, part in (
-                    ((first_ok, clean), first_zero),
-                    ((False, clean), late_zero),
-                    ((False, False), capped),
-                ):
-                    if lbl in updated:
-                        updated[lbl] += part
-                    else:
-                        updated[lbl] = part.copy()
-            components = updated
-        rho = np.zeros_like(rho)
-        for (first_ok, clean), comp in components.items():
-            mass = float(np.trace(comp).real)
-            if first_ok:
-                round_first_success[r] += mass
-            if clean:
-                round_success[r] += mass
-            rho += comp
-        round_fidelity[r] = float(
-            np.real(mmes_vec.conj() @ rho @ mmes_vec)
-        )
+        # first: every sequence so far opened with Delta = 0; clean: none hit
+        # the repeat cap; total: the whole ensemble
+        comps = [rho]
+        for b in range(len(frames)):
+            comps = run_sequence(comps, r, b)
+        first, clean, rho = comps
+        round_first_success[r] = np.einsum("ijij->", first).real
+        round_success[r] = np.einsum("ijij->", clean).real
+        round_fidelity[r] = np.einsum("kkll->", rho).real / d  # <MMES|rho|MMES>
 
     return ChannelResult(
         config=config,
@@ -548,7 +535,7 @@ def channel_statistics(
         round_success=round_success,
         round_first_success=round_first_success,
         round_fidelity=round_fidelity,
-        total_mass=float(np.trace(rho).real),
+        total_mass=float(np.einsum("ijij->", rho).real),
     )
 
 

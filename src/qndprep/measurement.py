@@ -304,94 +304,52 @@ def povm_projector_discrepancy(
     """Probability-weighted L2 distance between exact-POVM and band collapse.
 
     For every photon outcome (n_c, n_d) in the truncation window, the
-    post-measurement state is compared (up to global phase) against
-    projector_apply with Delta inferred from the peak relation and sign
-    (-1)^n_d.  Returns sum_p p * ||u - v||_min-phase / sum_p p; this shrinks
-    as alpha grows, verifying the projective limit.
+    post-measurement state u is compared up to global phase with
+    v = projector_apply, Delta inferred from the peak relation and sign
+    (-1)^n_d.  Returns sum_p p * min_phi ||u/|u| - e^{i phi} v/|v|| / sum_p p;
+    this shrinks as alpha grows, verifying the projective limit.
+
+    u and v are psi times a real factor on each band b = k1 - k2, and v
+    lives on the bands b = -Delta (factor 1) and b = +Delta (the sign).  The
+    squared distance is o + r + ((o + r) / (1 + a))^2: o is u's mass off
+    v's bands, r its mass on them orthogonal to v, and a = |<v|u>|.  None
+    is a difference of nearly equal totals, so unlike sqrt(2 - 2a), which
+    floors near 1e-8, the value has no cancellation floor.
     """
     n = state.n_atoms
-    d = n + 1
-    amps = state.amplitudes
-    tau = params.tau
     bands = np.arange(-n, n + 1)
-
-    # Band-resolved weights of |psi|^2 and reference overlaps per (Delta, sign).
-    prob = np.abs(amps) ** 2
-    w_band = np.array([np.trace(prob, offset=b).real for b in bands])
-
-    ref_overlap = {}
-    for delta in range(d):
-        signs = (+1,) if delta == 0 else (+1, -1)
-        for sign in signs:
-            v = projector_apply(state, ProjectorSpec(delta, sign, "z"))
-            vn = v.norm()
-            if vn == 0.0:
-                ref_overlap[(delta, sign)] = None
-                continue
-            va = v.amplitudes / vn
-            # <v|u> decomposes over bands since both states share the grid;
-            # np.diagonal(a, off) walks k2 = k1 + off, so band b uses off = -b.
-            ref_overlap[(delta, sign)] = np.array(
-                [
-                    np.sum(np.conj(np.diagonal(va, -b)) * np.diagonal(amps, -b))
-                    for b in bands
-                ]
-            )
+    prob = np.abs(state.amplitudes) ** 2
+    w_band = np.array([np.trace(prob, offset=-b) for b in bands])
 
     mean = params.alpha**2
     half_window = window_sigmas * math.sqrt(mean)
     lo = max(0, int(mean - half_window))
     hi = int(math.ceil(mean + half_window))
 
-    abs_cos = np.abs(np.cos(bands * tau))
-    abs_sin = np.abs(np.sin(bands * tau))
-    sign_cos = np.sign(np.cos(bands * tau))
-    sign_sin = np.sign(np.sin(bands * tau))
-
     num = 0.0
     den = 0.0
     for n_tot in range(lo, hi + 1):
-        n_d_arr = np.arange(n_tot + 1)
-        n_c_arr = n_tot - n_d_arr
-        log_amp = (
-            n_tot * (np.log(params.alpha) if params.alpha > 0 else -np.inf)
-            - 0.5 * mean
-            - 0.5 * (gammaln(n_c_arr + 1.0) + gammaln(n_d_arr + 1.0))
+        n_d = np.arange(n_tot + 1)
+        c = modulating_amplitude(
+            (n_tot - n_d)[:, None], n_d[:, None], bands * params.tau, params
         )
-        # c[j, b]: modulating amplitude for outcome j on band b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_c = (
-                log_amp[:, None]
-                + np.where(
-                    abs_cos[None, :] > 0,
-                    n_c_arr[:, None] * np.log(np.maximum(abs_cos[None, :], 1e-320)),
-                    np.where(n_c_arr[:, None] == 0, 0.0, -np.inf),
-                )
-                + np.where(
-                    abs_sin[None, :] > 0,
-                    n_d_arr[:, None] * np.log(np.maximum(abs_sin[None, :], 1e-320)),
-                    np.where(n_d_arr[:, None] == 0, 0.0, -np.inf),
-                )
-            )
-        sign_grid = sign_cos[None, :] ** (n_c_arr[:, None] % 2) * sign_sin[None, :] ** (
-            n_d_arr[:, None] % 2
-        )
-        with np.errstate(over="ignore"):
-            c = sign_grid * np.exp(log_c)
-
-        p = (w_band[None, :] * c**2).sum(axis=1)
-        deltas = _infer_delta(n_c_arr, n_d_arr, tau, n)
-        signs = np.where(n_d_arr % 2 == 0, +1, -1)
-        norm_u = np.sqrt(p)
-        for j in np.nonzero(p > 1e-30)[0]:
-            key = (int(deltas[j]), int(signs[j]) if deltas[j] != 0 else +1)
-            ov_vec = ref_overlap.get(key)
-            if ov_vec is None:
-                continue
-            overlap = abs(np.sum(ov_vec * c[j])) / norm_u[j]
-            err = math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, overlap)))
-            num += p[j] * err
-            den += p[j]
+        weighted = w_band * c**2
+        p = weighted.sum(axis=1)
+        delta = _infer_delta(n_tot - n_d, n_d, params.tau, n)
+        sign = np.where(n_d % 2 == 0, 1.0, -1.0)
+        j = np.arange(n_tot + 1)
+        # factors of u on v's bands -Delta and +Delta (weight 0 when Delta = 0)
+        x1, x2 = c[j, n - delta], c[j, n + delta]
+        w1, w2 = w_band[n - delta], np.where(delta > 0, w_band[n + delta], 0.0)
+        on_v = (bands == -delta[:, None]) | (bands == delta[:, None])
+        keep = (p > 1e-30) & (w1 + w2 > 0.0)
+        p, w_v = p[keep], (w1 + w2)[keep]
+        o = np.where(on_v, 0.0, weighted).sum(axis=1)[keep] / p
+        r = (w1 * w2 * (x2 - sign * x1) ** 2)[keep] / (w_v * p)
+        a = np.abs(w1 * x1 + sign * w2 * x2)[keep] / np.sqrt(w_v * p)
+        dist = np.sqrt(o + r + ((o + r) / (1.0 + a)) ** 2)
+        num += float(p @ dist)
+        den += float(p.sum())
     if den == 0.0:
         raise ValueError("no photon outcomes above threshold in the window")
     return num / den

@@ -11,6 +11,7 @@ enumeration, the Monte Carlo run) are module-scoped fixtures so each runs
 once.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -379,8 +380,15 @@ def test_criterion_10_povm_projective_limit():
 
 
 def test_criterion_11_engine_consistency(channel_l25):
+    """Monte Carlo against the exact channel, from a fresh seed on every run.
+
+    The seed is printed in the detail line; a run is replayed with
+    ``ProtocolConfig(n_atoms=10, max_rounds=3, seed=<printed seed>)``.
+    """
     exact, cfg = channel_l25
-    mc = monte_carlo_estimates(100_000, x_polarized_state(cfg.basis), cfg)
+    seed = np.random.SeedSequence().entropy
+    mc_cfg = dataclasses.replace(cfg, seed=seed)
+    mc = monte_carlo_estimates(100_000, x_polarized_state(cfg.basis), mc_cfg)
     ok = True
     details = []
     for r in range(3):
@@ -391,7 +399,7 @@ def test_criterion_11_engine_consistency(channel_l25):
             pull = abs(est - truth) / max(se, 1e-12)
             ok = ok and pull <= 3.0
             details.append(f"{label}[r{r+1}] pull {pull:.2f}")
-    report(11, "engine consistency", ok, "; ".join(details))
+    report(11, "engine consistency", ok, f"seed {seed}; " + "; ".join(details))
 
 
 def test_criterion_12_sign_convention_robustness(channel_l5, channel_l25):

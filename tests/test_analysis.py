@@ -148,6 +148,8 @@ def test_enumeration_initial_fidelity():
         (2, 3, 2, "minus"),
         (2, 2, 2, "plus"),
         (3, 2, 1, "split"),
+        (4, 3, 1, "minus"),
+        (4, 3, 1, "plus"),
     ],
 )
 def test_channel_matches_unpruned_tree(n, repeats, rounds, sign_rule):
@@ -160,6 +162,24 @@ def test_channel_matches_unpruned_tree(n, repeats, rounds, sign_rule):
         prune_threshold=0.0,
         node_cap=50_000_000,
     )
+    assert_channel_matches_tree(cfg)
+
+
+def test_channel_matches_tree_tilted_basis_callable_angle():
+    """A complex (theta, phi) frame and a callable angle rule, N=3."""
+    cfg = ProtocolConfig(
+        n_atoms=3,
+        max_repeats=2,
+        max_rounds=1,
+        basis_order=("z", (0.7, 0.3)),
+        angle_rule=lambda delta, n: 0.8 * np.pi * delta / n + 0.1,
+        prune_threshold=0.0,
+        node_cap=50_000_000,
+    )
+    assert_channel_matches_tree(cfg)
+
+
+def assert_channel_matches_tree(cfg):
     initial = x_polarized_state(cfg.basis)
     tree = enumerate_tree(initial, cfg, store_paths=False)
     chan = channel_statistics(initial, cfg)
@@ -175,11 +195,15 @@ def test_channel_matches_unpruned_tree(n, repeats, rounds, sign_rule):
 
 
 def test_channel_mmes_is_fixed_point():
-    cfg = ProtocolConfig(n_atoms=6, max_rounds=3)
-    res = channel_statistics(mmes_state(cfg.basis), cfg)
-    for r in range(3):
-        assert success_probability(res, r) == pytest.approx(1.0, abs=1e-12)
-        assert average_fidelity(res, r) == pytest.approx(1.0, abs=1e-12)
+    for cfg in (
+        ProtocolConfig(n_atoms=6, max_rounds=3),
+        ProtocolConfig(n_atoms=30, max_repeats=3, max_rounds=1),
+    ):
+        res = channel_statistics(mmes_state(cfg.basis), cfg)
+        for r in range(cfg.max_rounds):
+            assert success_probability(res, r) == pytest.approx(1.0, abs=1e-12)
+            assert first_success_probability(res, r) == pytest.approx(1.0, abs=1e-12)
+            assert average_fidelity(res, r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_channel_rejects_state_dependent_angles():

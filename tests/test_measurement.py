@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import comb
+from scipy.stats import binom, poisson
 
 from qndprep import (
     FockBasis,
@@ -104,6 +105,48 @@ def test_povm_projector_limit_monotone():
         for a in (10.0, 20.0, 40.0)
     ]
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_povm_projector_discrepancy_below_overlap_floor():
+    """alpha=30: a 6.5e-12 distance, far below sqrt(2 - 2*overlap)'s 1e-8 floor.
+
+    The reference takes |C(n_c, n_d; chi)|^2 as Poisson(n_tot; alpha^2) x
+    Binomial(n_d; n_tot, sin^2 chi), builds both collapsed grids cell by
+    cell, and takes the norm of their phase-aligned difference, which has
+    no cancellation floor above ~1e-16.
+    """
+    n, tau, alpha = 4, np.pi / 8, 30.0
+    state = x_polarized_state(FockBasis(n))
+    k = np.arange(n + 1)
+    chi = (k[:, None] - k[None, :]) * tau  # band k1 - k2
+    refs = {}
+    for delta in range(n + 1):
+        for sign in (+1,) if delta == 0 else (+1, -1):
+            v = projector_apply(state, ProjectorSpec(delta, sign, "z"))
+            refs[(delta, sign)] = v.amplitudes / v.norm()
+    num = den = 0.0
+    mean = alpha**2
+    for n_tot in range(int(mean - 10 * alpha), int(mean + 10 * alpha) + 1):
+        n_d = np.arange(n_tot + 1)
+        nd, nc = n_d[:, None, None], n_tot - n_d[:, None, None]
+        mag = np.sqrt(poisson.pmf(n_tot, mean) * binom.pmf(nd, n_tot, np.sin(chi) ** 2))
+        sgn = np.sign(np.cos(chi)) ** nc * np.sign(np.sin(chi)) ** nd
+        u = mag * sgn * state.amplitudes
+        p = np.sum(np.abs(u) ** 2, axis=(1, 2))
+        guess = np.argmin(np.abs(n_d[:, None] / n_tot - np.sin(k * tau) ** 2), axis=1)
+        parity = np.where((n_d % 2 == 0) | (guess == 0), 1, -1)
+        for key, v in refs.items():
+            sel = (guess == key[0]) & (parity == key[1]) & (p > 1e-30)
+            un = u[sel] / np.sqrt(p[sel])[:, None, None]
+            overlap = np.sum(np.conj(v) * un, axis=(1, 2))
+            phase = np.exp(1j * np.angle(overlap))[:, None, None]  # 1 at overlap 0
+            dist = np.sqrt(np.sum(np.abs(un - phase * v) ** 2, axis=(1, 2)))
+            num += np.sum(p[sel] * dist)
+            den += np.sum(p[sel])
+    expected = num / den
+    assert expected < 1e-10
+    got = povm_projector_discrepancy(state, PovmParams(alpha=alpha, tau=tau))
+    assert got == pytest.approx(expected, rel=1e-2)
 
 
 # ------------------------------------------------------- band operators
