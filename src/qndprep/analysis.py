@@ -162,9 +162,11 @@ def enumerate_tree(
 ) -> EnumerationResult:
     """Exact expansion of the protocol's stochastic outcome tree.
 
-    Depth-first, so live memory stays proportional to tree depth.  Branches
-    below ``prune_threshold`` (absolute probability) are dropped and their
-    mass reported in ``pruned_mass``.
+    Depth-first, so live memory stays proportional to tree depth.  A node's
+    children are expanded heaviest first, so a run that hits
+    ``config.node_cap`` has spent its budget on the heavier branches.
+    Branches below ``prune_threshold`` (absolute probability) are dropped
+    and their mass reported in ``pruned_mass``.
     """
     if prune_threshold is None:
         prune_threshold = config.prune_threshold
@@ -275,6 +277,7 @@ def enumerate_tree(
             marginals[key] = np.zeros(d)
         step_marg = marginals[key]
 
+        live: List[Tuple[float, _LiveNode]] = []
         for delta in range(d):
             if delta == 0:
                 branches = ((+1, 1.0),)
@@ -353,7 +356,10 @@ def enumerate_tree(
                         )
                     )
                 else:
-                    stack.append(advanced)
+                    live.append((mass, advanced))
+        # ascending mass: the heaviest child is popped first
+        live.sort(key=lambda item: item[0])
+        stack.extend(child for _, child in live)
 
     return EnumerationResult(
         config=config,

@@ -8,12 +8,12 @@ ensembles is a dense (N+1)x(N+1) complex amplitude grid psi(k1, k2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "FockBasis",
@@ -36,6 +36,37 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
+
+# _LOG_FACTORIAL[m] = log(m!); _log_factorial at least doubles it when a larger m arrives.
+_LOG_FACTORIAL = np.zeros(1)
+
+
+def _log_factorial(n) -> np.ndarray:
+    """log(n!) elementwise for integer counts n >= 0 (scalar or array).
+
+    Raises ValueError for negative, non-integral or non-finite counts.
+    """
+    global _LOG_FACTORIAL
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu":
+        if not np.all(np.isfinite(n) & (n == np.floor(n))):
+            raise ValueError("log-factorial needs integer counts")
+        n = n.astype(np.int64)
+    if n.min(initial=0) < 0:
+        raise ValueError("log-factorial needs non-negative counts")
+    table = _LOG_FACTORIAL
+    top = int(n.max(initial=0))
+    if top >= table.size:
+        # log of the exact integer m!: bit-equal to math.log(math.factorial(m)),
+        # where the C library's lgamma behind math.lgamma can miss by a few ulp
+        fact = math.factorial(table.size - 1)
+        grown = []
+        for m in range(table.size, max(2 * table.size, top + 1)):
+            fact *= m
+            grown.append(math.log(fact))
+        table = np.concatenate([table, grown])
+        _LOG_FACTORIAL = table
+    return table[n]
 
 
 @dataclass(frozen=True)
@@ -200,7 +231,7 @@ def rotation_matrix_closed_form(theta: float, basis: FockBasis) -> np.ndarray:
     d = n + 1
     half = 0.5 * theta
     c, s = np.cos(half), np.sin(half)
-    lg = gammaln(np.arange(d + 1) + 1.0)  # lg[m] = log(m!)
+    lg = _log_factorial(np.arange(d + 1))  # lg[m] = log(m!)
 
     # Exact limits avoid 0*log(0) bookkeeping below.
     if abs(s) < 1e-300:
@@ -246,7 +277,7 @@ def coherent_state(theta: float, phi: float, basis: FockBasis) -> np.ndarray:
     k = np.arange(n + 1)
     half = 0.5 * theta
     c, s = np.cos(half), np.sin(half)
-    log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    log_binom = _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
     mag = np.zeros(n + 1)
     ok = np.ones(n + 1, dtype=bool)
     if c == 0.0:

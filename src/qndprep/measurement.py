@@ -27,9 +27,8 @@ from functools import lru_cache
 from typing import List, Literal, Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fock import FockBasis, RotationSpec, TwoModeState, _rotation_unitary
+from .fock import FockBasis, RotationSpec, TwoModeState, _log_factorial, _rotation_unitary
 
 __all__ = [
     "BasisSpec",
@@ -165,7 +164,7 @@ def modulating_amplitude(
         - 0.5 * params.alpha**2
         + _log_factor(n_c, abs(c))
         + _log_factor(n_d, abs(s))
-        - 0.5 * (gammaln(n_c + 1.0) + gammaln(n_d + 1.0))
+        - 0.5 * (_log_factorial(n_c) + _log_factorial(n_d))
     )
     sign = np.where(c < 0, (-1.0) ** n_c, 1.0) * np.where(s < 0, (-1.0) ** n_d, 1.0)
     with np.errstate(over="ignore"):

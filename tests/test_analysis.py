@@ -122,6 +122,15 @@ def test_enumeration_node_cap_reports_unexplored_mass():
     assert res.accounted_mass() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_enumeration_node_cap_spends_budget_on_heavy_branches():
+    """Children are expanded heaviest first, so a capped run still completes real mass."""
+    cfg = ProtocolConfig(n_atoms=4, max_repeats=3, max_rounds=2, node_cap=2000)
+    res = enumerate_tree(x_polarized_state(cfg.basis), cfg, store_paths=False)
+    assert res.node_cap_hit
+    assert res.terminal_mass >= 0.2
+    assert res.accounted_mass() == pytest.approx(1.0, abs=1e-9)
+
+
 def test_enumeration_negative_threshold_rejected():
     cfg = ProtocolConfig(n_atoms=2)
     with pytest.raises(ValueError):

@@ -3,11 +3,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import comb
 
+import qndprep
 from qndprep.cli import FIGURE_IDS, main
 
 
@@ -23,6 +26,19 @@ def read_manifest(out_dir):
 
 def run(args):
     return main(args)
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the package and CLI pulls in no scipy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qndprep.__file__)))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qndprep, qndprep.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------- simulate

@@ -1,12 +1,15 @@
 """Tests for two-ensemble Fock states, spin operators and rotations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import comb
+from scipy.special import comb, gammaln
 
+from qndprep import fock
 from qndprep import (
     FockBasis,
     RotationSpec,
@@ -138,6 +141,37 @@ def test_rotation_group_property():
     b = FockBasis(6)
     half = rotation_matrix(np.pi / 2, b)
     assert np.max(np.abs(half @ half - rotation_matrix(np.pi, b))) < 1e-12
+
+
+# ---------------------------------------------------------- log-factorial
+
+
+def test_log_factorial_matches_gammaln():
+    n = np.arange(5001)
+    np.testing.assert_allclose(fock._log_factorial(n), gammaln(n + 1.0), rtol=1e-15, atol=0)
+
+
+def test_log_factorial_exact_for_small_n():
+    for n in range(21):
+        assert fock._log_factorial(n) == math.log(math.factorial(n))
+
+
+def test_log_factorial_table_grows(monkeypatch):
+    monkeypatch.setattr(fock, "_LOG_FACTORIAL", np.zeros(1))
+    assert fock._log_factorial(3) == math.log(6)
+    small = fock._LOG_FACTORIAL.size
+    big = np.array([[0, 7], [4000, 2500]])
+    np.testing.assert_allclose(fock._log_factorial(big), gammaln(big + 1.0), rtol=1e-15, atol=0)
+    assert small < 4001 <= fock._LOG_FACTORIAL.size
+    np.testing.assert_allclose(
+        fock._LOG_FACTORIAL, gammaln(np.arange(fock._LOG_FACTORIAL.size) + 1.0), rtol=1e-15, atol=0
+    )
+
+
+@pytest.mark.parametrize("bad", [-1, [3, -2], 2.5, np.array([1.0, 0.5]), np.nan, np.inf])
+def test_log_factorial_rejects_non_counts(bad):
+    with pytest.raises(ValueError):
+        fock._log_factorial(bad)
 
 
 # ------------------------------------------------------ coherent states
