@@ -3,12 +3,15 @@
 Three engines compute the same statistics:
 
 * ``enumerate_tree`` expands every (Delta, sign) branch of the outcome tree
-  depth-first, carrying unnormalized states whose squared norms are the
-  branch probabilities.  Branch mass below the pruning threshold is dropped
-  but tallied, so terminal + capped + pruned mass always accounts for the
-  full unit of probability.  Exact for small systems; at N = 10 the tree
-  fragments (roughly 40% of the mass sits in branches below 1e-10), so
-  path-level enumeration cannot be both exact and bounded.
+  depth-first, heaviest child first, carrying unnormalized states whose
+  squared norms are the branch probabilities.  A node's children come from
+  one batched pass over a stack of signed-band masks: their masses in one
+  reduction, their corrections in one batched matmul, one frame change
+  back.  Branch mass below the pruning threshold is dropped but tallied, so
+  terminal + pruned + unexplored mass always accounts for the full unit of
+  probability.  Exact for small systems; at N = 10 the tree fragments
+  (roughly 40% of the mass sits in branches below 1e-10), so path-level
+  enumeration cannot be both exact and bounded.
 * ``channel_statistics`` evolves the branch-ensemble density matrix through
   the measurement-and-correction channel.  All aggregate statistics
   (marginals, success probabilities, average fidelity) are linear in the
@@ -33,7 +36,6 @@ from .fock import TwoModeState, rotation_matrix
 from .measurement import (
     BasisSpec,
     ProjectorSpec,
-    _band_project_z,
     basis_unitary,
     from_measurement_frame,  # noqa: F401  perfbench/tracing.py wraps this binding
     projector_apply,
@@ -107,6 +109,8 @@ class EnumerationResult:
     round_first_success: np.ndarray
     # round_fidelity[r] = sum over branches of |<MMES|psi_tilde>|^2 at round end
     round_fidelity: np.ndarray
+    # nodes whose children were computed (at most config.node_cap)
+    expanded_nodes: int = 0
 
     def accounted_mass(self) -> float:
         return self.terminal_mass + self.pruned_mass + self.unexplored_mass
@@ -162,11 +166,18 @@ def enumerate_tree(
 ) -> EnumerationResult:
     """Exact expansion of the protocol's stochastic outcome tree.
 
-    Depth-first, so live memory stays proportional to tree depth.  A node's
-    children are expanded heaviest first, so a run that hits
-    ``config.node_cap`` has spent its budget on the heavier branches.
-    Branches below ``prune_threshold`` (absolute probability) are dropped
-    and their mass reported in ``pruned_mass``.
+    Depth-first, so live memory stays proportional to tree depth.  All
+    (Delta, sign) children of a node come from one batched pass: the node,
+    changed to the measurement frame, times a (C, d, d) stack of signed-band
+    masks that carry the branch sign and sqrt(weight) (C = 2N + 1 under
+    ``split``, N + 1 under ``plus``/``minus``), their masses in one
+    reduction, the R[Delta] stack (identity at Delta = 0) as one batched
+    matmul and one batched frame change back.  Python only does the
+    bookkeeping of the children that survive pruning.  Children are expanded
+    heaviest first, so a run that hits ``config.node_cap`` has spent its
+    budget on the heavier branches.  Branches below ``prune_threshold``
+    (absolute probability before the correction) are dropped and their mass
+    reported in ``pruned_mass``.
     """
     if prune_threshold is None:
         prune_threshold = config.prune_threshold
@@ -174,15 +185,18 @@ def enumerate_tree(
         raise ValueError("prune_threshold must be non-negative")
     if initial.n_atoms != config.n_atoms:
         raise ValueError("initial state and config disagree on n_atoms")
+    signs = {"split": (+1, -1), "plus": (+1,), "minus": (-1,)}.get(config.sign_rule)
+    if signs is None:
+        raise ValueError(f"unknown sign rule {config.sign_rule!r}")
 
     n = config.n_atoms
     d = n + 1
     n_bases = len(config.basis_order)
 
     marginals: Dict[StepKey, np.ndarray] = {}
-    round_success = np.zeros(config.max_rounds)
-    round_first_success = np.zeros(config.max_rounds)
-    round_fidelity = np.zeros(config.max_rounds)
+    round_success = [0.0] * config.max_rounds
+    round_first_success = [0.0] * config.max_rounds
+    round_fidelity = [0.0] * config.max_rounds
     terminals: List[SequenceTreeNode] = []
     pruned_mass = 0.0
     terminal_mass = 0.0
@@ -191,70 +205,49 @@ def enumerate_tree(
     node_cap_hit = False
     expansions = 0
 
-    split = config.sign_rule == "split"
-    fixed_sign = {"plus": +1, "minus": -1}.get(config.sign_rule)
-    state_dependent_angle = config.angle_rule == "optimized"
-
-    # frame matrices, applied directly to amplitude grids in the hot loop
+    # children in Delta order, + before -; Delta = 0 has the one branch
+    branches = [(0, +1)] + [(delta, s) for delta in range(1, d) for s in signs]
+    deltas = np.array([delta for delta, _ in branches])
+    offset = np.arange(d)[None, :] - np.arange(d)[:, None]  # k2 - k1
+    root_weight = np.sqrt(1.0 / len(signs))
+    masks = np.array([
+        (offset == 0) * 1.0 if delta == 0
+        else root_weight * ((offset == delta) + sign * (offset == -delta))
+        for delta, sign in branches
+    ])
+    all_zero = (0,) * n_bases
     eye = np.eye(d, dtype=complex)
-    frame_u = {
-        basis: (basis_unitary(basis, initial.basis) if basis != "z" else eye)
-        for basis in config.basis_order
-    }
+
+    def correction(delta: int, framed: Optional[TwoModeState] = None) -> np.ndarray:
+        """R[Delta], the identity at Delta = 0; only the optimized rule reads
+        the (normalized, measurement-frame) child."""
+        if delta == 0:
+            return eye
+        theta = resolve_angle(config.angle_rule, delta, n, framed, "z")
+        return _correction_matrix(theta, initial.basis)
+
+    state_dependent_angle = config.angle_rule == "optimized"
     if not state_dependent_angle:
-        cached_rot = {
-            delta: _correction_matrix(
-                resolve_angle(config.angle_rule, delta, n), initial.basis
-            )
-            for delta in range(1, d)
-        }
+        rots = np.array([correction(delta) for delta in range(d)])[deltas]
+    # (U, U^dagger) per basis; None in z, where the frame is the identity
+    frames = {}
+    for basis in config.basis_order:
+        u = basis_unitary(basis, initial.basis)
+        frames[basis] = (u, None if u is None else u.conj().T)
 
-    def fidelity_contribution(amps: np.ndarray) -> float:
-        # |<MMES|psi_tilde>|^2 = |sum_k psi(k,k)|^2 / (N+1)
-        return abs(np.trace(amps)) ** 2 / d
-
-    def advance(node: _LiveNode) -> Optional[_LiveNode]:
-        """Move past completed sequences/rounds; record boundary statistics.
-
-        Returns the node positioned at its next measurement, or None if the
-        trajectory is terminal (all rounds done).
-        """
-        while True:
-            if node.basis_idx < n_bases:
-                return node
-            # round boundary
-            r = node.round_idx
-            mass = float(np.sum(np.abs(node.amps) ** 2))
-            round_fidelity[r] += fidelity_contribution(node.amps)
-            if not node.round_capped:
-                round_success[r] += mass
-            all_zero = all(fd == 0 for fd in node.first_deltas)
-            if all_zero:
-                round_first_success[r] += mass
-                if node.converged_at is None:
-                    node.converged_at = r + 1
-            node.round_idx += 1
-            node.basis_idx = 0
-            node.repeat_idx = 0
-            node.round_capped = False
-            node.first_deltas = (None,) * n_bases
-            if node.round_idx >= config.max_rounds:
-                return None
-
-    stack: List[_LiveNode] = []
-    root = _LiveNode(
-        amps=np.array(initial.amplitudes, dtype=complex),
-        round_idx=0,
-        basis_idx=0,
-        repeat_idx=0,
-        first_deltas=(None,) * n_bases,
-        path=(),
-        capped=False,
-        round_capped=False,
-        converged_at=None,
-    )
-    stack.append(root)
-
+    stack = [
+        _LiveNode(
+            amps=np.array(initial.amplitudes, dtype=complex),
+            round_idx=0,
+            basis_idx=0,
+            repeat_idx=0,
+            first_deltas=(None,) * n_bases,
+            path=(),
+            capped=False,
+            round_capped=False,
+            converged_at=None,
+        )
+    ]
     while stack:
         node = stack.pop()
         if node_cap_hit:
@@ -267,96 +260,100 @@ def enumerate_tree(
             continue
 
         r, b, j = node.round_idx, node.basis_idx, node.repeat_idx
-        basis = config.basis_order[b]
-        u = frame_u[basis]
-        uh = u.conj().T
-        framed = uh @ node.amps @ uh.T  # == to_measurement_frame
-
+        u, uh = frames[config.basis_order[b]]
+        framed = node.amps if u is None else uh @ node.amps @ uh.T
+        kids = masks * framed
+        masses = np.sum(np.abs(kids) ** 2, axis=(1, 2))
         key = (r, b, j)
         if key not in marginals:
             marginals[key] = np.zeros(d)
-        step_marg = marginals[key]
+        np.add.at(marginals[key], deltas, masses)  # in child order
+        keep = (masses > 0.0) & (masses >= prune_threshold)
+        pruned_mass += float(masses[~keep].sum())
+        idx = np.flatnonzero(keep).tolist()
+        if not idx:
+            continue
+        if state_dependent_angle:
+            rot = np.array([
+                correction(
+                    branches[i][0],
+                    TwoModeState(initial.basis, kids[i] / np.sqrt(masses[i])),
+                )
+                for i in idx
+            ])
+        else:
+            rot = rots[idx]
+        kids = rot @ kids[idx]
+        if u is not None:
+            kids = u @ kids @ u.T
+        lab_mass = np.sum(np.abs(kids) ** 2, axis=(1, 2)).tolist()
+        traces = np.trace(kids, axis1=1, axis2=2).tolist()
+        masses = masses.tolist()
 
         live: List[Tuple[float, _LiveNode]] = []
-        for delta in range(d):
+        for p, i in enumerate(idx):
+            delta, sign = branches[i]
+            mass = masses[i]
+            first_deltas = node.first_deltas
+            if j == 0:
+                first_deltas = first_deltas[:b] + (delta,) + first_deltas[b + 1:]
+            path = node.path + ((r, b, delta, sign),) if store_paths else node.path
+            capped, round_capped = node.capped, node.round_capped
+            basis_idx, repeat_idx = b, j + 1
             if delta == 0:
-                branches = ((+1, 1.0),)
-            elif split:
-                branches = ((+1, 0.5), (-1, 0.5))
-            else:
-                branches = ((fixed_sign, 1.0),)
-            for sign, weight in branches:
-                child_framed = _band_project_z(framed, delta, sign) * np.sqrt(weight)
-                mass = float(np.sum(np.abs(child_framed) ** 2))
-                step_marg[delta] += mass
-                if mass <= 0.0 or mass < prune_threshold:
-                    pruned_mass += mass
-                    continue
-                first_deltas = node.first_deltas
-                if j == 0:
-                    fd = list(first_deltas)
-                    fd[b] = delta
-                    first_deltas = tuple(fd)
-                path = node.path
-                if store_paths:
-                    path = path + ((r, b, delta, sign),)
-                capped = node.capped
-                round_capped = node.round_capped
-                if delta == 0:
-                    basis_idx, repeat_idx = b + 1, 0
-                else:
-                    if state_dependent_angle:
-                        # child_framed already sits in the measurement frame
-                        theta = resolve_angle(
-                            config.angle_rule,
-                            delta,
-                            n,
-                            TwoModeState(initial.basis, child_framed / np.sqrt(mass)),
-                            "z",
+                basis_idx, repeat_idx = b + 1, 0
+            elif j + 1 >= config.max_repeats:
+                capped = round_capped = True
+                basis_idx, repeat_idx = b + 1, 0
+            converged_at = node.converged_at
+            round_idx = r
+            if basis_idx == n_bases:  # round boundary
+                # |<MMES|psi_tilde>|^2 = |sum_k psi(k,k)|^2 / (N+1)
+                fid = abs(traces[p]) ** 2 / d
+                round_fidelity[r] += fid
+                if not round_capped:
+                    round_success[r] += lab_mass[p]
+                if first_deltas == all_zero:
+                    round_first_success[r] += lab_mass[p]
+                    if converged_at is None:
+                        converged_at = r + 1
+                if r + 1 >= config.max_rounds:
+                    terminal_mass += mass
+                    if capped:
+                        capped_mass += mass
+                    terminals.append(
+                        SequenceTreeNode(
+                            mass=mass,
+                            fidelity=fid / mass,
+                            path=path,
+                            capped=capped,
+                            converged_at=converged_at,
+                            # a copy, so the node's child stack is not kept alive
+                            state=(
+                                TwoModeState(initial.basis, kids[p].copy())
+                                if store_states
+                                else None
+                            ),
                         )
-                        rot = _correction_matrix(theta, initial.basis)
-                    else:
-                        rot = cached_rot[delta]
-                    child_framed = rot @ child_framed
-                    if j + 1 >= config.max_repeats:
-                        capped = True
-                        round_capped = True
-                        basis_idx, repeat_idx = b + 1, 0
-                    else:
-                        basis_idx, repeat_idx = b, j + 1
-                child_lab = u @ child_framed @ u.T  # == from_measurement_frame
-                child = _LiveNode(
-                    amps=np.asarray(child_lab),
-                    round_idx=r,
+                    )
+                    continue
+                round_idx, basis_idx, repeat_idx = r + 1, 0, 0
+                first_deltas = (None,) * n_bases
+                round_capped = False
+            live.append((
+                mass,
+                _LiveNode(
+                    amps=kids[p],
+                    round_idx=round_idx,
                     basis_idx=basis_idx,
                     repeat_idx=repeat_idx,
                     first_deltas=first_deltas,
                     path=path,
                     capped=capped,
                     round_capped=round_capped,
-                    converged_at=node.converged_at,
-                )
-                advanced = advance(child)
-                if advanced is None:
-                    terminal_mass += mass
-                    if child.capped:
-                        capped_mass += mass
-                    terminals.append(
-                        SequenceTreeNode(
-                            mass=mass,
-                            fidelity=fidelity_contribution(child.amps) / mass,
-                            path=child.path,
-                            capped=child.capped,
-                            converged_at=child.converged_at,
-                            state=(
-                                TwoModeState(initial.basis, child.amps)
-                                if store_states
-                                else None
-                            ),
-                        )
-                    )
-                else:
-                    live.append((mass, advanced))
+                    converged_at=converged_at,
+                ),
+            ))
         # ascending mass: the heaviest child is popped first
         live.sort(key=lambda item: item[0])
         stack.extend(child for _, child in live)
@@ -370,9 +367,10 @@ def enumerate_tree(
         capped_mass=capped_mass,
         node_cap_hit=node_cap_hit,
         step_marginals=marginals,
-        round_success=round_success,
-        round_first_success=round_first_success,
-        round_fidelity=round_fidelity,
+        round_success=np.array(round_success),
+        round_first_success=np.array(round_first_success),
+        round_fidelity=np.array(round_fidelity),
+        expanded_nodes=min(expansions, config.node_cap),
     )
 
 

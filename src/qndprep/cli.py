@@ -262,6 +262,7 @@ def cmd_enumerate(args) -> int:
         extra["terminal_mass"] = result.terminal_mass
         extra["capped_mass"] = result.capped_mass
         extra["terminal_branches"] = len(result.terminals)
+        extra["expanded_nodes"] = result.expanded_nodes
     else:
         extra["total_mass"] = result.total_mass
     elapsed = time.monotonic() - start

@@ -8,6 +8,8 @@ from qndprep import (
     CorrectionSpec,
     FockBasis,
     ProtocolConfig,
+    TwoModeState,
+    apply_correction,
     average_fidelity,
     channel_statistics,
     enumerate_tree,
@@ -16,10 +18,12 @@ from qndprep import (
     marginal_probability,
     mmes_state,
     monte_carlo_estimates,
+    projector_apply,
     success_probability,
     x_polarized_state,
 )
 from qndprep.measurement import ProjectorSpec
+from qndprep.protocol import resolve_angle
 
 
 # -------------------------------------------------------------- fock_grid
@@ -135,6 +139,79 @@ def test_enumeration_negative_threshold_rejected():
     cfg = ProtocolConfig(n_atoms=2)
     with pytest.raises(ValueError):
         enumerate_tree(x_polarized_state(cfg.basis), cfg, prune_threshold=-1.0)
+
+
+def test_enumeration_unknown_sign_rule_rejected():
+    cfg = ProtocolConfig(n_atoms=2, sign_rule="both")
+    with pytest.raises(ValueError):
+        enumerate_tree(x_polarized_state(cfg.basis), cfg)
+
+
+def test_enumeration_counts_expanded_nodes():
+    """The MMES input opens every sequence with Delta = 0: one node per measurement."""
+    cfg = ProtocolConfig(n_atoms=4, max_rounds=2)
+    res = enumerate_tree(mmes_state(cfg.basis), cfg)
+    assert res.expanded_nodes == 2 * len(cfg.basis_order)
+    capped = ProtocolConfig(n_atoms=4, max_repeats=3, max_rounds=2, node_cap=50)
+    res = enumerate_tree(x_polarized_state(capped.basis), capped)
+    assert res.node_cap_hit
+    assert res.expanded_nodes == 50
+
+
+def test_enumeration_stored_states_own_their_memory():
+    cfg = ProtocolConfig(n_atoms=3, max_repeats=2, max_rounds=1)
+    res = enumerate_tree(x_polarized_state(cfg.basis), cfg, store_states=True)
+    amps = [t.state.amplitudes for t in res.terminals]
+    assert len(amps) > 10
+    for i, a in enumerate(amps):
+        assert a.base is None
+        for b in amps[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def replay_path(initial, cfg, path):
+    """Rebuild a terminal state from its path with the public measurement and
+    correction operators, the way ``repeat_until_success`` applies them."""
+    state = initial
+    for _, b, delta, sign in path:
+        basis = cfg.basis_order[b]
+        state = projector_apply(state, ProjectorSpec(delta, sign, basis))
+        if cfg.sign_rule == "split" and delta:
+            state = TwoModeState(state.basis, state.amplitudes * np.sqrt(0.5))
+        if delta:
+            normalized = TwoModeState(
+                state.basis, state.amplitudes / np.sqrt(state.squared_norm())
+            )
+            theta = resolve_angle(cfg.angle_rule, delta, cfg.n_atoms, normalized, basis)
+            state = apply_correction(state, delta, basis, theta)
+    return state
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        {"sign_rule": "minus"},
+        {
+            "basis_order": ("z", (0.7, 0.3)),
+            "angle_rule": lambda delta, n: 0.8 * np.pi * delta / n + 0.1,
+        },
+        {"angle_rule": "optimized", "max_rounds": 1},
+    ],
+    ids=["split", "minus", "tilted-callable", "optimized"],
+)
+def test_enumeration_terminals_replay_their_paths(extra):
+    """Each stored terminal state equals its path replayed through
+    ``projector_apply`` and ``apply_correction``, and its mass is the replay's norm."""
+    kw = dict(n_atoms=3, max_repeats=2, max_rounds=2, prune_threshold=1e-3)
+    cfg = ProtocolConfig(**{**kw, **extra})
+    initial = x_polarized_state(cfg.basis)
+    res = enumerate_tree(initial, cfg, store_states=True)
+    assert len(res.terminals) > 10
+    for term in res.terminals:
+        replayed = replay_path(initial, cfg, term.path)
+        assert np.max(np.abs(replayed.amplitudes - term.state.amplitudes)) < 1e-12
+        assert replayed.squared_norm() == pytest.approx(term.mass, abs=1e-12)
 
 
 def test_enumeration_initial_fidelity():

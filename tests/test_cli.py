@@ -270,6 +270,20 @@ def test_enumerate_node_cap_exit_code(tmp_path):
     assert man["unexplored_mass"] > 0.0
 
 
+def test_enumerate_tree_manifest_counts_nodes(tmp_path):
+    """The tree engine's manifest records how many nodes it expanded."""
+    args = ["--n-atoms", "3", "--rounds", "1", "--max-repeats", "2"]
+    out = str(tmp_path / "tree")
+    assert run(["enumerate", *args, "--engine", "tree", "--out-dir", out]) == 0
+    cfg = qndprep.ProtocolConfig(n_atoms=3, max_rounds=1, max_repeats=2)
+    res = qndprep.enumerate_tree(qndprep.x_polarized_state(cfg.basis), cfg)
+    assert read_manifest(out)["expanded_nodes"] == res.expanded_nodes > 1
+
+    capped = str(tmp_path / "capped")
+    run(["enumerate", *args, "--node-cap", "5", "--engine", "tree", "--out-dir", capped])
+    assert read_manifest(capped)["expanded_nodes"] == 5
+
+
 def test_bad_basis_order_rejected(tmp_path):
     with pytest.raises(SystemExit):
         run(
