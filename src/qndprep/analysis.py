@@ -5,13 +5,14 @@ Three engines compute the same statistics:
 * ``enumerate_tree`` expands every (Delta, sign) branch of the outcome tree
   depth-first, heaviest child first, carrying unnormalized states whose
   squared norms are the branch probabilities.  A node's children come from
-  one batched pass over a stack of signed-band masks: their masses in one
-  reduction, their corrections in one batched matmul, one frame change
-  back.  Branch mass below the pruning threshold is dropped but tallied, so
-  terminal + pruned + unexplored mass always accounts for the full unit of
-  probability.  Exact for small systems; at N = 10 the tree fragments
-  (roughly 40% of the mass sits in branches below 1e-10), so path-level
-  enumeration cannot be both exact and bounded.
+  one batched pass over the signed-band mask stack of
+  ``measurement.branch_masks``: their masses in one reduction, their
+  corrections in one batched matmul, one frame change back.  Branch mass
+  below the pruning threshold is dropped but tallied, so terminal + pruned +
+  unexplored mass always accounts for the full unit of probability.  Exact
+  for small systems; at N = 10 the tree fragments (roughly 40% of the mass
+  sits in branches below 1e-10), so path-level enumeration cannot be both
+  exact and bounded.
 * ``channel_statistics`` evolves the branch-ensemble density matrix through
   the measurement-and-correction channel.  All aggregate statistics
   (marginals, success probabilities, average fidelity) are linear in the
@@ -22,7 +23,11 @@ Three engines compute the same statistics:
   measure-and-correct step costs O(d^4) with d = N + 1; the O(d^5) frame
   changes of the full (d, d, d, d) tensor happen only at sequence
   boundaries.  N = 30 with L = 25 and three rounds takes seconds.
-* ``monte_carlo_estimates`` cross-checks both by Born-rule sampling.
+* ``monte_carlo_estimates`` cross-checks both by Born-rule sampling of
+  ``run_protocol`` trajectories.  Each repeat-until-success sequence runs in
+  its measurement frame on the same mask stack as the tree, one uniform draw
+  per step (``protocol.repeat_until_success``), so a seed gives the outcomes
+  of ``sample_outcome`` followed by ``apply_correction``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .measurement import (
     BasisSpec,
     ProjectorSpec,
     basis_unitary,
+    branch_masks,
     from_measurement_frame,  # noqa: F401  perfbench/tracing.py wraps this binding
     projector_apply,
     to_measurement_frame,
@@ -119,10 +125,6 @@ class EnumerationResult:
         return float(self.step_marginals[key].sum())
 
 
-def _correction_matrix(theta: float, state_basis) -> np.ndarray:
-    return rotation_matrix(-theta, state_basis)  # exp(+i S^y theta / 2)
-
-
 def fock_grid(
     operator_string: Sequence[OperatorSpec],
     initial: TwoModeState,
@@ -168,11 +170,11 @@ def enumerate_tree(
 
     Depth-first, so live memory stays proportional to tree depth.  All
     (Delta, sign) children of a node come from one batched pass: the node,
-    changed to the measurement frame, times a (C, d, d) stack of signed-band
-    masks that carry the branch sign and sqrt(weight) (C = 2N + 1 under
-    ``split``, N + 1 under ``plus``/``minus``), their masses in one
-    reduction, the R[Delta] stack (identity at Delta = 0) as one batched
-    matmul and one batched frame change back.  Python only does the
+    changed to the measurement frame, times the (C, d, d) stack of signed-band
+    masks from ``measurement.branch_masks`` (C = 2N + 1 under ``split``,
+    N + 1 under ``plus``/``minus``), their masses in one reduction, the
+    R[Delta] stack (identity at Delta = 0) as one batched matmul and one
+    batched frame change back.  Python only does the
     bookkeeping of the children that survive pruning.  Children are expanded
     heaviest first, so a run that hits ``config.node_cap`` has spent its
     budget on the heavier branches.  Branches below ``prune_threshold``
@@ -185,9 +187,7 @@ def enumerate_tree(
         raise ValueError("prune_threshold must be non-negative")
     if initial.n_atoms != config.n_atoms:
         raise ValueError("initial state and config disagree on n_atoms")
-    signs = {"split": (+1, -1), "plus": (+1,), "minus": (-1,)}.get(config.sign_rule)
-    if signs is None:
-        raise ValueError(f"unknown sign rule {config.sign_rule!r}")
+    branches, masks = branch_masks(config.n_atoms, config.sign_rule)
 
     n = config.n_atoms
     d = n + 1
@@ -205,16 +205,7 @@ def enumerate_tree(
     node_cap_hit = False
     expansions = 0
 
-    # children in Delta order, + before -; Delta = 0 has the one branch
-    branches = [(0, +1)] + [(delta, s) for delta in range(1, d) for s in signs]
     deltas = np.array([delta for delta, _ in branches])
-    offset = np.arange(d)[None, :] - np.arange(d)[:, None]  # k2 - k1
-    root_weight = np.sqrt(1.0 / len(signs))
-    masks = np.array([
-        (offset == 0) * 1.0 if delta == 0
-        else root_weight * ((offset == delta) + sign * (offset == -delta))
-        for delta, sign in branches
-    ])
     all_zero = (0,) * n_bases
     eye = np.eye(d, dtype=complex)
 
@@ -224,7 +215,7 @@ def enumerate_tree(
         if delta == 0:
             return eye
         theta = resolve_angle(config.angle_rule, delta, n, framed, "z")
-        return _correction_matrix(theta, initial.basis)
+        return rotation_matrix(-theta, initial.basis)  # exp(+i S^y theta / 2)
 
     state_dependent_angle = config.angle_rule == "optimized"
     if not state_dependent_angle:
@@ -459,7 +450,7 @@ def channel_statistics(
     rots = np.zeros((n_bands, d, d))
     for delta in range(1, d):
         theta = resolve_angle(config.angle_rule, delta, n)
-        rots[n + delta] = _correction_matrix(theta, initial.basis).real
+        rots[n + delta] = rotation_matrix(-theta, initial.basis).real
         rots[n - delta] = rots[n + delta]
     # col[s, a, k2] = R_|s|[a, k2 - s]: where R takes the band-s cell, and
     # gat[t, s, k2] = R_|s|[k2 - t, k2 - s]: the part of it on band t

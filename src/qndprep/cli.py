@@ -84,7 +84,7 @@ def _config_from_args(args) -> ProtocolConfig:
     basis_order = tuple(args.basis_order.split(","))
     for b in basis_order:
         if b not in ("z", "x"):
-            raise SystemExit(f"error: unsupported basis {b!r} in --basis-order")
+            raise ValueError(f"unsupported basis {b!r} in --basis-order")
     return ProtocolConfig(
         n_atoms=args.n_atoms,
         alpha=args.alpha,
@@ -141,7 +141,7 @@ def _manifest(
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if args.trajectories < 1:
-        raise SystemExit("error: --trajectories must be at least 1")
+        raise ValueError("--trajectories must be at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
     initial = x_polarized_state(config.basis)
@@ -331,9 +331,7 @@ def _fig3_fidelity_sweep(n_atoms: int = 10, theta_points: int = 401):
 
 def cmd_figures(args) -> int:
     if args.figure not in FIGURE_IDS:
-        raise SystemExit(
-            f"error: unknown figure id {args.figure!r}; choose from {FIGURE_IDS}"
-        )
+        raise ValueError(f"unknown figure id {args.figure!r}; choose from {FIGURE_IDS}")
     config = _config_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()

@@ -36,6 +36,7 @@ __all__ = [
     "ProjectorSpec",
     "MeasurementRecord",
     "basis_unitary",
+    "branch_masks",
     "to_measurement_frame",
     "from_measurement_frame",
     "modulating_amplitude",
@@ -227,6 +228,38 @@ def _band_project_z(amps: np.ndarray, delta: int, sign: int) -> np.ndarray:
     out[k, k + delta] = amps[k, k + delta]
     out[k + delta, k] = sign * amps[k + delta, k]
     return out
+
+
+@lru_cache(maxsize=None)
+def branch_masks(
+    n_atoms: int, sign_rule: SignRule = "split"
+) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray]:
+    """Every (Delta, sign) outcome of one band measurement, with its mask.
+
+    Outcomes come in the order of ``outcome_probabilities``: Delta = 0, then
+    each Delta != 0 with + before -.  ``masks[i]`` is that outcome's Pi_Delta
+    in the measurement frame as an elementwise (d, d) mask on psi[k1, k2]:
+    the k2 - k1 = +Delta band as-is, the -Delta band with the branch sign,
+    both times sqrt of the sign weight (1/2 under ``split``), so that
+    sum |masks[i] * psi|^2 is the outcome's Born probability.  Cached per
+    (N, sign rule); the stack is read-only.
+    """
+    signs = {"split": (+1, -1), "plus": (+1,), "minus": (-1,)}.get(sign_rule)
+    if signs is None:
+        raise ValueError(f"unknown sign rule {sign_rule!r}")
+    d = n_atoms + 1
+    branches = ((0, +1),) + tuple(
+        (delta, sign) for delta in range(1, d) for sign in signs
+    )
+    offset = np.arange(d)[None, :] - np.arange(d)[:, None]  # k2 - k1
+    weight = np.sqrt(1.0 / len(signs))
+    masks = np.array([
+        (offset == 0) * 1.0 if delta == 0
+        else weight * ((offset == delta) + sign * (offset == -delta))
+        for delta, sign in branches
+    ])
+    masks.setflags(write=False)
+    return branches, masks
 
 
 def projector_apply(state: TwoModeState, spec: ProjectorSpec) -> TwoModeState:

@@ -5,10 +5,20 @@ and then in the x basis: measure the band offset Delta, and while Delta != 0
 rotate ensemble 1 by the adaptive angle and measure again.  Rounds repeat up
 to a configured maximum; convergence is declared on the first round whose
 sequences both open with Delta = 0.
+
+``repeat_until_success`` is the sampler's step kernel.  It changes to the
+measurement frame once per sequence and stays there: each step takes every
+branch mass from the ``measurement.branch_masks`` stack (the one the exact
+tree expands) in one reduction, draws the branch with one uniform number on
+the normalized CDF, as ``Generator.choice`` does, keeps the chosen child
+divided by sqrt(mass) and applies R[Delta] = exp(+i S^y theta/2) to ensemble
+1.  The state changes back to the lab frame once, at the end.  A seed gives
+the outcomes that ``sample_outcome`` followed by ``apply_correction`` gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -17,6 +27,7 @@ import numpy as np
 from .fock import (
     FockBasis,
     TwoModeState,
+    _sy_eigendecomposition,
     inner_product,
     mmes_state,
     rotation_matrix,
@@ -24,9 +35,12 @@ from .fock import (
 from .measurement import (
     BasisSpec,
     MeasurementRecord,
+    ProjectorSpec,
     SignRule,
+    basis_unitary,
+    branch_masks,
     from_measurement_frame,
-    sample_outcome,
+    sample_outcome,  # noqa: F401  perfbench/tracing.py wraps this binding
     to_measurement_frame,
 )
 
@@ -63,6 +77,12 @@ def optimized_angle(
 
     Falls back to the linear rule when no state is supplied.  Used for
     comparison experiments; the linear rule is the protocol default.
+
+    All grid angles are scored in one pass.  With S^y = V diag(lambda) V^dagger,
+    the diagonal of exp(+i S^y theta/2) psi is
+    sum_m e^{i theta lambda_m / 2} V[k, m] (V^dagger psi)[m, k]: one
+    (grid, d) x (d, d) matmul, with no rotation matrix built.  The first
+    grid angle with the largest Delta=0 mass wins.
     """
     if delta == 0:
         return 0.0
@@ -70,14 +90,11 @@ def optimized_angle(
         return adaptive_angle(delta, n_atoms)
     thetas = np.linspace(0.0, np.pi, grid_points)
     framed = to_measurement_frame(state, basis).amplitudes
-    best_theta, best_p0 = 0.0, -1.0
-    for theta in thetas:
-        rot = rotation_matrix(-theta, state.basis)  # exp(+i S^y theta / 2)
-        corrected = rot @ framed
-        p0 = float(np.sum(np.abs(np.diagonal(corrected)) ** 2))
-        if p0 > best_p0:
-            best_theta, best_p0 = float(theta), p0
-    return best_theta
+    evals, evecs = _sy_eigendecomposition(state.n_atoms)
+    phases = np.exp(0.5j * thetas[:, None] * evals)
+    diag = phases @ (evecs.T * (evecs.conj().T @ framed))
+    p0 = np.sum(diag.real**2 + diag.imag**2, axis=1)
+    return float(thetas[np.argmax(p0)])
 
 
 @dataclass(frozen=True)
@@ -203,22 +220,50 @@ def repeat_until_success(
 ) -> Tuple[TwoModeState, SubSequenceRecord]:
     """Measure and correct in one basis until Delta = 0 (or the repeat cap).
 
-    The returned state is normalized.  Hitting the cap is flagged, not an
-    error; the last correction is still applied so the state stays usable.
+    Runs in the measurement frame of ``basis`` from the first measurement to
+    the last correction (see the module docstring).  The returned state is
+    normalized.  Hitting the cap is flagged, not an error; the last
+    correction is still applied so the state stays usable.
     """
+    fock_basis = state.basis
+    branches, masks = branch_masks(config.n_atoms, config.sign_rule)
+    weights = (masks * masks).reshape(len(masks), -1)
+    state_dependent_angle = config.angle_rule == "optimized"
+    u = basis_unitary(basis, fock_basis)
+    framed = state.amplitudes
+    if u is not None:
+        uh = u.conj().T
+        framed = uh @ framed @ uh.T
     sub = SubSequenceRecord(basis=basis)
-    current = state
     for _ in range(config.max_repeats):
-        record, current = sample_outcome(current, basis, rng, config.sign_rule)
-        sub.records.append(record)
-        if record.spec.delta == 0:
-            return current, sub
-        theta = resolve_angle(
-            config.angle_rule, record.spec.delta, config.n_atoms, current, basis
+        masses = weights @ (framed.real**2 + framed.imag**2).ravel()
+        total = masses.sum()
+        if not abs(total - 1.0) <= 1e-8 + 1e-5:  # np.isclose(total, 1, atol=1e-8)
+            raise ValueError(f"outcome probabilities sum to {total}, expected 1")
+        # the draw Generator.choice(len(masses), p=masses / total) makes
+        cdf = (masses / total).cumsum()
+        cdf /= cdf[-1]
+        i = int(cdf.searchsorted(rng.random(), side="right"))
+        delta, sign = branches[i]
+        sub.records.append(
+            MeasurementRecord(ProjectorSpec(delta, sign, basis), float(masses[i]))
         )
-        current = apply_correction(current, record.spec.delta, basis, theta)
-    sub.capped = True
-    return current, sub
+        framed = masks[i] * framed / math.sqrt(masses[i])
+        if delta == 0:
+            break
+        theta = resolve_angle(
+            config.angle_rule,
+            delta,
+            config.n_atoms,
+            TwoModeState(fock_basis, framed) if state_dependent_angle else None,
+        )
+        if theta != 0.0:  # exp(+i S^y theta / 2) on ensemble 1
+            framed = rotation_matrix(-theta, fock_basis) @ framed
+    else:
+        sub.capped = True
+    if u is not None:
+        framed = u @ framed @ u.T
+    return TwoModeState(fock_basis, framed), sub
 
 
 def run_protocol(

@@ -110,17 +110,18 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_simulate_rejects_bad_trajectories(tmp_path):
-    with pytest.raises(SystemExit):
-        run(
-            [
-                "simulate",
-                "--trajectories",
-                "0",
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
+def test_simulate_rejects_bad_trajectories(tmp_path, capsys):
+    code = run(
+        [
+            "simulate",
+            "--trajectories",
+            "0",
+            "--out-dir",
+            str(tmp_path),
+        ]
+    )
+    assert code == 2
+    assert "error: --trajectories must be at least 1" in capsys.readouterr().err
 
 
 def test_simulate_marginal_rows_sum_to_one(tmp_path):
@@ -284,27 +285,29 @@ def test_enumerate_tree_manifest_counts_nodes(tmp_path):
     assert read_manifest(capped)["expanded_nodes"] == 5
 
 
-def test_bad_basis_order_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        run(
-            [
-                "enumerate",
-                "--n-atoms",
-                "2",
-                "--basis-order",
-                "z,q",
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
+def test_bad_basis_order_rejected(tmp_path, capsys):
+    code = run(
+        [
+            "enumerate",
+            "--n-atoms",
+            "2",
+            "--basis-order",
+            "z,q",
+            "--out-dir",
+            str(tmp_path),
+        ]
+    )
+    assert code == 2
+    assert "error: unsupported basis 'q' in --basis-order" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- figures
 
 
-def test_unknown_figure_id(tmp_path):
-    with pytest.raises(SystemExit):
-        run(["figures", "--figure", "fig99", "--out-dir", str(tmp_path)])
+def test_unknown_figure_id(tmp_path, capsys):
+    code = run(["figures", "--figure", "fig99", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "error: unknown figure id 'fig99'" in capsys.readouterr().err
 
 
 def test_fig4_panels(tmp_path):

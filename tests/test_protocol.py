@@ -1,21 +1,28 @@
 """Tests for the adaptive repeat-until-success protocol loop."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
+import qndprep.cli  # layer_targets also patches the CLI's bindings
 from qndprep import (
     FockBasis,
     ProtocolConfig,
     adaptive_angle,
     apply_correction,
     mmes_state,
+    monte_carlo_estimates,
     optimized_angle,
     overlap_magnitude,
     repeat_until_success,
+    rotation_matrix,
     run_protocol,
+    sample_outcome,
     x_polarized_state,
 )
-from qndprep.measurement import ProjectorSpec, projector_apply
+from qndprep.measurement import ProjectorSpec, projector_apply, to_measurement_frame
 from qndprep.protocol import resolve_angle
 
 
@@ -233,3 +240,146 @@ def test_rounds_recorded_and_convergence_flag():
     if rec.converged_at is not None:
         rnd = rec.rounds[rec.converged_at - 1]
         assert all(sub.first_delta == 0 for sub in rnd)
+
+
+# ------------------------------------------------- replay of the sampler
+
+
+def reference_sequence(state, basis, cfg, rng):
+    """One sequence as sample_outcome then apply_correction, in the lab frame."""
+    records = []
+    current = state
+    for _ in range(cfg.max_repeats):
+        record, current = sample_outcome(current, basis, rng, cfg.sign_rule)
+        records.append(record)
+        if record.spec.delta == 0:
+            return current, records, False
+        theta = resolve_angle(
+            cfg.angle_rule, record.spec.delta, cfg.n_atoms, current, basis
+        )
+        current = apply_correction(current, record.spec.delta, basis, theta)
+    return current, records, True
+
+
+def reference_protocol(initial, cfg, rng):
+    """Per-round [(records, capped)] and per-round fidelities to the MMES."""
+    target = mmes_state(initial.basis)
+    current = initial
+    rounds, fidelities = [], []
+    for _ in range(cfg.max_rounds):
+        subs = []
+        for basis in cfg.basis_order:
+            current, records, capped = reference_sequence(current, basis, cfg, rng)
+            subs.append((records, capped))
+        rounds.append(subs)
+        fidelities.append(overlap_magnitude(target, current) ** 2)
+    return rounds, fidelities
+
+
+REPLAY_CASES = {
+    "split": dict(),
+    "plus": dict(sign_rule="plus"),
+    "minus": dict(sign_rule="minus"),
+    "x-first": dict(basis_order=("x", "z")),
+    "tilted": dict(basis_order=((0.7, 0.3), "x")),
+    "callable": dict(angle_rule=lambda delta, n: 0.9 * np.pi * delta / n + 0.05),
+    "optimized": dict(angle_rule="optimized", max_rounds=2),
+    "cap-1": dict(max_repeats=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_sequence_replays_reference(case):
+    """repeat_until_success draws the outcomes sample_outcome would, per seed."""
+    kwargs = dict(n_atoms=10, max_rounds=3)
+    kwargs.update(REPLAY_CASES[case])
+    cfg = ProtocolConfig(**kwargs)
+    for seed in range(12):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        current = ref = x_polarized_state(cfg.basis)
+        for _ in range(cfg.max_rounds):
+            for basis in cfg.basis_order:
+                current, sub = repeat_until_success(current, basis, cfg, rng)
+                ref, records, capped = reference_sequence(ref, basis, cfg, ref_rng)
+                assert [(r.spec.delta, r.spec.branch_sign) for r in sub.records] == [
+                    (r.spec.delta, r.spec.branch_sign) for r in records
+                ]
+                assert all(r.spec.basis == basis for r in sub.records)
+                assert sub.capped == capped
+                np.testing.assert_allclose(
+                    [r.born_probability for r in sub.records],
+                    [r.born_probability for r in records],
+                    rtol=0,
+                    atol=1e-12,
+                )
+                np.testing.assert_allclose(
+                    current.amplitudes, ref.amplitudes, rtol=0, atol=1e-12
+                )
+        assert rng.random() == ref_rng.random()  # both streams at the same place
+
+
+def test_monte_carlo_matches_reference_loop():
+    cfg = ProtocolConfig(n_atoms=10, max_rounds=3)
+    initial = x_polarized_state(cfg.basis)
+    n_traj = 300
+    mc = monte_carlo_estimates(n_traj, initial, cfg, np.random.default_rng(2024))
+
+    rng = np.random.default_rng(2024)
+    success = np.zeros(3)
+    first_success = np.zeros(3)
+    fidelity = np.zeros(3)
+    marginals = np.zeros((3, cfg.n_atoms + 1))
+    converged = capped_runs = 0
+    for _ in range(n_traj):
+        rounds, fids = reference_protocol(initial, cfg, rng)
+        firsts = [[records[0].spec.delta for records, _ in subs] for subs in rounds]
+        for r, subs in enumerate(rounds):
+            success[r] += not any(capped for _, capped in subs)
+            first_success[r] += all(d == 0 for d in firsts[r])
+            marginals[r, firsts[r][0]] += 1
+        fidelity += fids
+        converged += any(all(d == 0 for d in f) for f in firsts)
+        capped_runs += any(capped for subs in rounds for _, capped in subs)
+
+    # identical counts give bit-identical frequencies
+    assert np.array_equal(mc.round_success, success / n_traj)
+    assert np.array_equal(mc.round_first_success, first_success / n_traj)
+    assert np.array_equal(mc.first_marginals, marginals / n_traj)
+    assert mc.converged_fraction == converged / n_traj
+    assert mc.capped_fraction == capped_runs / n_traj
+    np.testing.assert_allclose(mc.round_fidelity, fidelity / n_traj, rtol=0, atol=1e-12)
+
+
+def test_optimized_angle_matches_per_angle_scan():
+    basis = FockBasis(10)
+    for spec, frame in (
+        (ProjectorSpec(3, -1, "z"), "z"),
+        (ProjectorSpec(2, +1, "x"), "x"),
+        (ProjectorSpec(5, -1, (0.7, 0.3)), (0.7, 0.3)),
+    ):
+        state = projector_apply(x_polarized_state(basis), spec).normalized()
+        framed = to_measurement_frame(state, frame).amplitudes
+        thetas = np.linspace(0.0, np.pi, 241)
+        p0s = [
+            np.sum(np.abs(np.diagonal(rotation_matrix(-t, basis) @ framed)) ** 2)
+            for t in thetas
+        ]
+        best = int(np.argmax(p0s))  # the first maximum
+        theta = optimized_angle(spec.delta, 10, state, frame)
+        assert theta == thetas[best]
+        corrected = rotation_matrix(-theta, basis) @ framed
+        assert np.sum(np.abs(np.diagonal(corrected)) ** 2) == pytest.approx(
+            p0s[best], abs=1e-12
+        )
+
+
+def test_traced_bindings_exist():
+    """Every (module, attribute) the benchmark's tracer patches is importable."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing",
+        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py"),
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.layer_targets(qndprep):
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
