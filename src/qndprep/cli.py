@@ -28,7 +28,13 @@ from .analysis import (
     fock_grid,
     monte_carlo_estimates,
 )
-from .fock import FockBasis, mmes_state, rotation_matrix, x_polarized_state
+from .fock import (
+    FockBasis,
+    _sy_eigendecomposition,
+    _sy_rotated_diagonals,
+    rotation_matrix,  # noqa: F401  perfbench/tracing.py wraps this binding
+    x_polarized_state,
+)
 from .measurement import ProjectorSpec, projector_apply
 from .protocol import ProtocolConfig
 
@@ -284,24 +290,38 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _fig3_matrix_grid(k: int, n_atoms: int = 150, theta_points: int = 301):
-    basis = FockBasis(n_atoms)
+def _fig3_matrix_columns(k: int, n_atoms: int = 150, theta_points: int = 301):
+    """Grid angles and |<k + Delta| exp(+i S^y theta/2) |k>|, shape (theta_points, N + 1 - k).
+
+    Column k of V diag(e^{i theta lambda/2}) V^dagger for every angle is one
+    (theta_points, d) x (d, d) product; no rotation matrix is built.
+    """
     thetas = np.linspace(0.0, np.pi, theta_points)
+    evals, evecs = _sy_eigendecomposition(n_atoms)
+    phases = np.exp(0.5j * thetas[:, None] * evals)
+    return thetas, np.abs(phases @ (evecs.T * evecs[k].conj()[:, None]))[:, k:]
+
+
+def _fig3_matrix_grid(k: int):
+    thetas, mags = _fig3_matrix_columns(k)
     rows = []
-    for theta in thetas:
-        rot = rotation_matrix(-theta, basis)  # exp(+i S^y theta / 2)
-        for delta in range(n_atoms - k + 1):
-            rows.append((delta, f"{theta:.8f}", f"{abs(rot[k + delta, k]):.10e}"))
+    for theta, column in zip(thetas, mags.tolist()):
+        label = f"{theta:.8f}"
+        rows.extend((delta, label, f"{m:.10e}") for delta, m in enumerate(column))
     return rows
 
 
-def _fig3_fidelity_sweep(n_atoms: int = 10, theta_points: int = 401):
+def _fig3_fidelities(n_atoms: int = 10, theta_points: int = 401):
+    """Grid angles and, per Delta, the corrected fidelity at each angle.
+
+    The fidelity of exp(+i S^y theta/2) P_Delta psi0 with the MMES is
+    |tr(exp(+i S^y theta/2) P_Delta psi0)|^2 / (N+1) / |P_Delta psi0|^2, for
+    every Delta whose movable branch has mass.
+    """
     basis = FockBasis(n_atoms)
     psi0 = x_polarized_state(basis)
-    target = mmes_state(basis)
     thetas = np.linspace(0.0, np.pi, theta_points)
-    sweep_rows = []
-    argmax_rows = []
+    fids = {}
     for delta in range(n_atoms + 1):
         # use the movable sign branch (-1)^Delta: the other branch cannot be
         # rotated onto the diagonal, so its sweep carries no angle information
@@ -310,20 +330,26 @@ def _fig3_fidelity_sweep(n_atoms: int = 10, theta_points: int = 401):
         norm_sq = projected.squared_norm()
         if norm_sq == 0.0:
             continue
-        best_theta, best_f = 0.0, -1.0
-        for theta in thetas:
-            rot = rotation_matrix(-theta, basis)
-            corrected = rot @ projected.amplitudes
-            fid = abs(np.trace(corrected)) ** 2 / (n_atoms + 1) / norm_sq
-            sweep_rows.append((delta, f"{theta:.8f}", f"{fid:.10e}"))
-            if fid > best_f:
-                best_theta, best_f = theta, fid
+        traces = _sy_rotated_diagonals(thetas, projected.amplitudes).sum(axis=1)
+        fids[delta] = np.abs(traces) ** 2 / (n_atoms + 1) / norm_sq
+    return thetas, fids
+
+
+def _fig3_fidelity_sweep(n_atoms: int = 10):
+    thetas, fids = _fig3_fidelities(n_atoms)
+    sweep_rows = []
+    argmax_rows = []
+    for delta, fid in fids.items():
+        sweep_rows.extend(
+            (delta, f"{theta:.8f}", f"{f:.10e}") for theta, f in zip(thetas, fid)
+        )
+        best = int(np.argmax(fid))  # the first maximum
         argmax_rows.append(
             (
                 delta,
-                f"{best_theta:.8f}",
+                f"{thetas[best]:.8f}",
                 f"{np.pi * delta / n_atoms:.8f}",
-                f"{best_f:.10e}",
+                f"{fid[best]:.10e}",
             )
         )
     return sweep_rows, argmax_rows

@@ -197,6 +197,18 @@ def _sy_eigendecomposition(n_atoms: int):
     return evals, evecs
 
 
+def _sy_rotated_diagonals(thetas: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Diagonal of exp(+i S^y theta/2) @ amps for every theta, shape (len(thetas), d).
+
+    With S^y = V diag(lambda) V^dagger the diagonal is
+    sum_m e^{i theta lambda_m / 2} V[k, m] (V^dagger amps)[m, k]: one
+    (len(thetas), d) x (d, d) matmul, with no rotation matrix built.
+    """
+    evals, evecs = _sy_eigendecomposition(amps.shape[0] - 1)
+    phases = np.exp(0.5j * thetas[:, None] * evals)
+    return phases @ (evecs.T * (evecs.conj().T @ amps))
+
+
 @lru_cache(maxsize=512)
 def _rotation_matrix_cached(theta: float, n_atoms: int) -> np.ndarray:
     evals, evecs = _sy_eigendecomposition(n_atoms)

@@ -322,12 +322,28 @@ def sample_outcome(
     return MeasurementRecord(spec, p), collapsed
 
 
+# outcome rows per batch in povm_projector_discrepancy
+_POVM_BATCH_ROWS = 1 << 15
+
+
 def _infer_delta(n_c_arr: np.ndarray, n_d_arr: np.ndarray, tau: float, n_atoms: int) -> np.ndarray:
-    """Most likely band offset from the Gaussian-peak relation."""
+    """Most likely band offset from the Gaussian-peak relation.
+
+    The candidate sin^2(Delta tau) nearest the dark-port fraction wins; the
+    first (smallest Delta) wins a tie.
+    """
     n_tot = n_c_arr + n_d_arr
     ratio = np.where(n_tot > 0, n_d_arr / np.maximum(n_tot, 1), 0.0)
     candidates = np.sin(np.arange(n_atoms + 1) * tau) ** 2
-    return np.argmin(np.abs(ratio[:, None] - candidates[None, :]), axis=1)
+    # one candidate at a time over the long outcome axis, not an argmin over
+    # the short candidate axis
+    best = np.abs(ratio - candidates[0])
+    delta = np.zeros(ratio.shape, dtype=np.intp)
+    for m in range(1, n_atoms + 1):
+        dist = np.abs(ratio - candidates[m])
+        delta[dist < best] = m
+        np.minimum(best, dist, out=best)
+    return delta
 
 
 def povm_projector_discrepancy(
@@ -347,39 +363,55 @@ def povm_projector_discrepancy(
     v's bands, r its mass on them orthogonal to v, and a = |<v|u>|.  None
     is a difference of nearly equal totals, so unlike sqrt(2 - 2a), which
     floors near 1e-8, the value has no cancellation floor.
+
+    r vanishes.  cos is even and sin odd, so C(n; -b tau) = (-1)^n_d
+    C(n; b tau): on v's two bands u carries the factors x and (-1)^n_d x,
+    the very ratio that v's sign (-1)^n_d sets, so u restricted to them is
+    parallel to v.  Hence only q_m = C(n; m tau)^2 on the N+1 bands |b| = m
+    enters, with W_m the mass of psi on b = +m and b = -m together:
+    p = sum_m W_m q_m, o = sum_{m != Delta} W_m q_m / p and
+    a = sqrt(W_Delta q_Delta / p).  q is evaluated as a (N+1, outcomes)
+    array for a batch of outcomes across consecutive n_tot at a time.
     """
     n = state.n_atoms
-    bands = np.arange(-n, n + 1)
-    prob = np.abs(state.amplitudes) ** 2
-    w_band = np.array([np.trace(prob, offset=-b) for b in bands])
+    weight = _band_masses(state.amplitudes)  # W_m over |k1 - k2| = m
 
     mean = params.alpha**2
     half_window = window_sigmas * math.sqrt(mean)
     lo = max(0, int(mean - half_window))
     hi = int(math.ceil(mean + half_window))
+    chi = np.arange(n + 1) * params.tau
+    cos2, sin2 = np.cos(chi)[:, None] ** 2, np.sin(chi)[:, None] ** 2
 
+    # outcome rows list (n_tot, n_d), n_d = 0..n_tot, for n_tot = lo..hi
+    n_tots = np.arange(lo, hi + 1)
+    ends = np.cumsum(n_tots + 1)
     num = 0.0
     den = 0.0
-    for n_tot in range(lo, hi + 1):
-        n_d = np.arange(n_tot + 1)
-        c = modulating_amplitude(
-            (n_tot - n_d)[:, None], n_d[:, None], bands * params.tau, params
+    for start in range(0, int(ends[-1]), _POVM_BATCH_ROWS):
+        row = np.arange(start, min(start + _POVM_BATCH_ROWS, int(ends[-1])))
+        i = np.searchsorted(ends, row, side="right")
+        n_tot = n_tots[i]
+        n_d = row - (ends[i] - n_tot - 1)
+        n_c = n_tot - n_d
+        # log q = log Poisson(n_tot; alpha^2) + log Binomial(n_d; n_tot, sin^2)
+        log_q = _log_factor(n_c, cos2)
+        log_q += _log_factor(n_d, sin2)
+        log_q += (
+            _log_factor(n_tot, mean) - mean - _log_factorial(n_c) - _log_factorial(n_d)
         )
-        weighted = w_band * c**2
-        p = weighted.sum(axis=1)
-        delta = _infer_delta(n_tot - n_d, n_d, params.tau, n)
-        sign = np.where(n_d % 2 == 0, 1.0, -1.0)
-        j = np.arange(n_tot + 1)
-        # factors of u on v's bands -Delta and +Delta (weight 0 when Delta = 0)
-        x1, x2 = c[j, n - delta], c[j, n + delta]
-        w1, w2 = w_band[n - delta], np.where(delta > 0, w_band[n + delta], 0.0)
-        on_v = (bands == -delta[:, None]) | (bands == delta[:, None])
-        keep = (p > 1e-30) & (w1 + w2 > 0.0)
-        p, w_v = p[keep], (w1 + w2)[keep]
-        o = np.where(on_v, 0.0, weighted).sum(axis=1)[keep] / p
-        r = (w1 * w2 * (x2 - sign * x1) ** 2)[keep] / (w_v * p)
-        a = np.abs(w1 * x1 + sign * w2 * x2)[keep] / np.sqrt(w_v * p)
-        dist = np.sqrt(o + r + ((o + r) / (1.0 + a)) ** 2)
+        weighted = np.exp(log_q, out=log_q)
+        weighted *= weight[:, None]
+        p = weighted.sum(axis=0)
+        delta = _infer_delta(n_c, n_d, params.tau, n)
+        cols = np.arange(row.size)
+        on_v = weighted[delta, cols]
+        weighted[delta, cols] = 0.0
+        keep = (p > 1e-30) & (weight[delta] > 0.0)
+        p = p[keep]
+        o = weighted.sum(axis=0)[keep] / p
+        a = np.sqrt(on_v[keep] / p)
+        dist = np.sqrt(o + (o / (1.0 + a)) ** 2)
         num += float(p @ dist)
         den += float(p.sum())
     if den == 0.0:

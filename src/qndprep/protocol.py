@@ -27,7 +27,7 @@ import numpy as np
 from .fock import (
     FockBasis,
     TwoModeState,
-    _sy_eigendecomposition,
+    _sy_rotated_diagonals,
     inner_product,
     mmes_state,
     rotation_matrix,
@@ -78,11 +78,10 @@ def optimized_angle(
     Falls back to the linear rule when no state is supplied.  Used for
     comparison experiments; the linear rule is the protocol default.
 
-    All grid angles are scored in one pass.  With S^y = V diag(lambda) V^dagger,
-    the diagonal of exp(+i S^y theta/2) psi is
-    sum_m e^{i theta lambda_m / 2} V[k, m] (V^dagger psi)[m, k]: one
-    (grid, d) x (d, d) matmul, with no rotation matrix built.  The first
-    grid angle with the largest Delta=0 mass wins.
+    All grid angles are scored in one pass from the diagonal of
+    exp(+i S^y theta/2) psi (``fock._sy_rotated_diagonals``), with no
+    rotation matrix built.  The first grid angle with the largest Delta=0
+    mass wins.
     """
     if delta == 0:
         return 0.0
@@ -90,9 +89,7 @@ def optimized_angle(
         return adaptive_angle(delta, n_atoms)
     thetas = np.linspace(0.0, np.pi, grid_points)
     framed = to_measurement_frame(state, basis).amplitudes
-    evals, evecs = _sy_eigendecomposition(state.n_atoms)
-    phases = np.exp(0.5j * thetas[:, None] * evals)
-    diag = phases @ (evecs.T * (evecs.conj().T @ framed))
+    diag = _sy_rotated_diagonals(thetas, framed)
     p0 = np.sum(diag.real**2 + diag.imag**2, axis=1)
     return float(thetas[np.argmax(p0)])
 

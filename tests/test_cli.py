@@ -11,6 +11,15 @@ import pytest
 from scipy.special import comb
 
 import qndprep
+from qndprep import (
+    FockBasis,
+    ProjectorSpec,
+    cli,
+    fock,
+    projector_apply,
+    rotation_matrix,
+    x_polarized_state,
+)
 from qndprep.cli import FIGURE_IDS, main
 
 
@@ -347,6 +356,50 @@ def test_fig3d_angles_near_line(tmp_path):
             assert abs(theta_max - theta_line) <= np.pi / 20 + 1e-9
         else:
             assert theta_max <= theta_line + 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_fig3_matrix_columns_match_rotation(k):
+    """fig3a/fig3b: |exp(+i S^y theta/2)[k + Delta, k]| at N=150, on grid angles."""
+    basis = FockBasis(150)
+    thetas, mags = cli._fig3_matrix_columns(k)
+    assert mags.shape == (301, 151 - k)
+    for i in (0, 1, 77, 150, 299, 300):
+        want = np.abs(rotation_matrix(-thetas[i], basis)[k:, k])
+        assert np.max(np.abs(mags[i] - want)) <= 1e-12
+
+
+def test_fig3_fidelities_match_per_angle_scan(tmp_path):
+    """fig3c against a per-angle rotation scan; fig3d takes that scan's first maximum."""
+    n = 10
+    basis = FockBasis(n)
+    psi0 = x_polarized_state(basis)
+    thetas, fids = cli._fig3_fidelities(n)
+    assert sorted(fids) == list(range(n + 1))
+    argmax = {}
+    for delta, got in fids.items():
+        sign = +1 if delta == 0 else (-1) ** delta
+        proj = projector_apply(psi0, ProjectorSpec(delta, sign, "z"))
+        want = np.array([
+            abs(np.trace(rotation_matrix(-t, basis) @ proj.amplitudes)) ** 2
+            / (n + 1) / proj.squared_norm()
+            for t in thetas
+        ])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        argmax[delta] = f"{thetas[int(np.argmax(want))]:.8f}"
+    out = str(tmp_path)
+    assert run(["figures", "--figure", "fig3d", "--out-dir", out]) == 0
+    rows = read_csv(os.path.join(out, "fig3d_optimal_angles.csv"))[1:]
+    assert {int(r[0]): r[1] for r in rows} == argmax
+
+
+def test_fig3_matrix_grid_leaves_rotation_cache_alone(tmp_path):
+    """fig3a and fig3b look up no rotation, so the rotation cache does not change."""
+    before = fock._rotation_matrix_cached.cache_info()
+    for fig in ("fig3a", "fig3b"):
+        assert run(["figures", "--figure", fig, "--out-dir", str(tmp_path / fig)]) == 0
+    # hits and misses as well as currsize: a full cache keeps its size on a miss
+    assert fock._rotation_matrix_cached.cache_info() == before
 
 
 def test_fig6_uses_exact_engine(tmp_path):

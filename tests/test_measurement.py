@@ -107,16 +107,16 @@ def test_povm_projector_limit_monotone():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_povm_projector_discrepancy_below_overlap_floor():
-    """alpha=30: a 6.5e-12 distance, far below sqrt(2 - 2*overlap)'s 1e-8 floor.
+def cell_by_cell_discrepancy(state, alpha, tau):
+    """Reference for ``povm_projector_discrepancy``, built cell by cell.
 
-    The reference takes |C(n_c, n_d; chi)|^2 as Poisson(n_tot; alpha^2) x
-    Binomial(n_d; n_tot, sin^2 chi), builds both collapsed grids cell by
-    cell, and takes the norm of their phase-aligned difference, which has
-    no cancellation floor above ~1e-16.
+    Takes |C(n_c, n_d; chi)|^2 as Poisson(n_tot; alpha^2) x
+    Binomial(n_d; n_tot, sin^2 chi), builds both collapsed grids on every
+    cell of the 10-sigma window (clamped at n_tot >= 0), and takes the norm
+    of their phase-aligned difference, which has no cancellation floor above
+    ~1e-16.  Neither the |b| fold nor r = 0 is assumed.
     """
-    n, tau, alpha = 4, np.pi / 8, 30.0
-    state = x_polarized_state(FockBasis(n))
+    n = state.n_atoms
     k = np.arange(n + 1)
     chi = (k[:, None] - k[None, :]) * tau  # band k1 - k2
     refs = {}
@@ -126,14 +126,15 @@ def test_povm_projector_discrepancy_below_overlap_floor():
             refs[(delta, sign)] = v.amplitudes / v.norm()
     num = den = 0.0
     mean = alpha**2
-    for n_tot in range(int(mean - 10 * alpha), int(mean + 10 * alpha) + 1):
+    for n_tot in range(max(0, int(mean - 10 * alpha)), int(mean + 10 * alpha) + 1):
         n_d = np.arange(n_tot + 1)
         nd, nc = n_d[:, None, None], n_tot - n_d[:, None, None]
         mag = np.sqrt(poisson.pmf(n_tot, mean) * binom.pmf(nd, n_tot, np.sin(chi) ** 2))
         sgn = np.sign(np.cos(chi)) ** nc * np.sign(np.sin(chi)) ** nd
         u = mag * sgn * state.amplitudes
         p = np.sum(np.abs(u) ** 2, axis=(1, 2))
-        guess = np.argmin(np.abs(n_d[:, None] / n_tot - np.sin(k * tau) ** 2), axis=1)
+        ratio = n_d[:, None] / max(n_tot, 1)  # 0 at n_tot = 0
+        guess = np.argmin(np.abs(ratio - np.sin(k * tau) ** 2), axis=1)
         parity = np.where((n_d % 2 == 0) | (guess == 0), 1, -1)
         for key, v in refs.items():
             sel = (guess == key[0]) & (parity == key[1]) & (p > 1e-30)
@@ -143,10 +144,34 @@ def test_povm_projector_discrepancy_below_overlap_floor():
             dist = np.sqrt(np.sum(np.abs(un - phase * v) ** 2, axis=(1, 2)))
             num += np.sum(p[sel] * dist)
             den += np.sum(p[sel])
-    expected = num / den
+    return num / den
+
+
+def test_povm_projector_discrepancy_below_overlap_floor():
+    """alpha=30: a 6.5e-12 distance, far below sqrt(2 - 2*overlap)'s 1e-8 floor."""
+    n, tau, alpha = 4, np.pi / 8, 30.0
+    state = x_polarized_state(FockBasis(n))
+    expected = cell_by_cell_discrepancy(state, alpha, tau)
     assert expected < 1e-10
     got = povm_projector_discrepancy(state, PovmParams(alpha=alpha, tau=tau))
     assert got == pytest.approx(expected, rel=1e-2)
+
+
+@pytest.mark.parametrize("alpha", [4.0, 8.0])
+def test_povm_projector_discrepancy_random_state(alpha):
+    """A complex state with unequal +-b band weights: the |b| fold and r = 0 hold."""
+    state = random_state(5, 1234)
+    prob = np.abs(state.amplitudes) ** 2
+    assert abs(np.trace(prob, offset=1) - np.trace(prob, offset=-1)) > 1e-3
+    got = povm_projector_discrepancy(state, PovmParams(alpha=alpha, tau=0.3))
+    assert got == pytest.approx(cell_by_cell_discrepancy(state, alpha, 0.3), rel=1e-10)
+
+
+def test_povm_projector_discrepancy_dark_probe():
+    """alpha=0: the only outcome is (0, 0), read as Delta=0."""
+    state = x_polarized_state(FockBasis(4))
+    got = povm_projector_discrepancy(state, PovmParams(alpha=0.0, tau=np.pi / 8))
+    assert got == pytest.approx(0.9768187993852318, rel=1e-12)
 
 
 # ------------------------------------------------------- band operators
