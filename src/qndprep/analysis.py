@@ -7,7 +7,8 @@ Three engines compute the same statistics:
   squared norms are the branch probabilities.  A node's children come from
   one batched pass over the signed-band mask stack of
   ``measurement.branch_masks``: their masses in one reduction, their
-  corrections in one batched matmul, one frame change back.  Branch mass
+  corrections from the R[Delta] stack of ``protocol.correction_stack`` in
+  one batched matmul, one frame change back.  Branch mass
   below the pruning threshold is dropped but tallied, so terminal + pruned +
   unexplored mass always accounts for the full unit of probability.  Exact
   for small systems; at N = 10 the tree fragments (roughly 40% of the mass
@@ -22,7 +23,9 @@ Three engines compute the same statistics:
   blocks, indexed by the offset k2 - k1, k2 and k2', so one
   measure-and-correct step costs O(d^4) with d = N + 1; the O(d^5) frame
   changes of the full (d, d, d, d) tensor happen only at sequence
-  boundaries.  N = 30 with L = 25 and three rounds takes seconds.
+  boundaries.  Its band sign comes from ``measurement.branch_masks`` and its
+  rotations from ``protocol.correction_stack``.  N = 30 with L = 25 and
+  three rounds takes seconds.
 * ``monte_carlo_estimates`` cross-checks both by Born-rule sampling of
   ``run_protocol`` trajectories.  Each repeat-until-success sequence runs in
   its measurement frame on the same mask stack as the tree, one uniform draw
@@ -47,7 +50,13 @@ from .measurement import (
     projector_apply,
     to_measurement_frame,
 )
-from .protocol import ProtocolConfig, apply_correction, resolve_angle, run_protocol
+from .protocol import (
+    ProtocolConfig,
+    apply_correction,
+    correction_stack,
+    optimized_angle,
+    run_protocol,
+)
 
 __all__ = [
     "CorrectionSpec",
@@ -162,7 +171,6 @@ class _LiveNode:
 def enumerate_tree(
     initial: TwoModeState,
     config: ProtocolConfig,
-    prune_threshold: Optional[float] = None,
     store_states: bool = False,
     store_paths: bool = True,
 ) -> EnumerationResult:
@@ -173,18 +181,15 @@ def enumerate_tree(
     changed to the measurement frame, times the (C, d, d) stack of signed-band
     masks from ``measurement.branch_masks`` (C = 2N + 1 under ``split``,
     N + 1 under ``plus``/``minus``), their masses in one reduction, the
-    R[Delta] stack (identity at Delta = 0) as one batched matmul and one
-    batched frame change back.  Python only does the
-    bookkeeping of the children that survive pruning.  Children are expanded
-    heaviest first, so a run that hits ``config.node_cap`` has spent its
-    budget on the heavier branches.  Branches below ``prune_threshold``
-    (absolute probability before the correction) are dropped and their mass
-    reported in ``pruned_mass``.
+    ``protocol.correction_stack`` rows of their Delta (identity at Delta =
+    0) as one batched matmul and one batched frame change back.  Under
+    ``optimized`` each Delta != 0 child gets the rotation of its own angle.
+    Python only does the bookkeeping of the children that survive pruning.
+    Children are expanded heaviest first, so a run that hits
+    ``config.node_cap`` has spent its budget on the heavier branches.
+    Branches below ``config.prune_threshold`` (absolute probability before
+    the correction) are dropped and their mass reported in ``pruned_mass``.
     """
-    if prune_threshold is None:
-        prune_threshold = config.prune_threshold
-    if prune_threshold < 0:
-        raise ValueError("prune_threshold must be non-negative")
     if initial.n_atoms != config.n_atoms:
         raise ValueError("initial state and config disagree on n_atoms")
     branches, masks = branch_masks(config.n_atoms, config.sign_rule)
@@ -207,19 +212,8 @@ def enumerate_tree(
 
     deltas = np.array([delta for delta, _ in branches])
     all_zero = (0,) * n_bases
-    eye = np.eye(d, dtype=complex)
-
-    def correction(delta: int, framed: Optional[TwoModeState] = None) -> np.ndarray:
-        """R[Delta], the identity at Delta = 0; only the optimized rule reads
-        the (normalized, measurement-frame) child."""
-        if delta == 0:
-            return eye
-        theta = resolve_angle(config.angle_rule, delta, n, framed, "z")
-        return rotation_matrix(-theta, initial.basis)  # exp(+i S^y theta / 2)
-
+    rots = correction_stack(n, config.angle_rule)[deltas]
     state_dependent_angle = config.angle_rule == "optimized"
-    if not state_dependent_angle:
-        rots = np.array([correction(delta) for delta in range(d)])[deltas]
     # (U, U^dagger) per basis; None in z, where the frame is the identity
     frames = {}
     for basis in config.basis_order:
@@ -259,21 +253,19 @@ def enumerate_tree(
         if key not in marginals:
             marginals[key] = np.zeros(d)
         np.add.at(marginals[key], deltas, masses)  # in child order
-        keep = (masses > 0.0) & (masses >= prune_threshold)
+        keep = (masses > 0.0) & (masses >= config.prune_threshold)
         pruned_mass += float(masses[~keep].sum())
         idx = np.flatnonzero(keep).tolist()
         if not idx:
             continue
-        if state_dependent_angle:
-            rot = np.array([
-                correction(
-                    branches[i][0],
-                    TwoModeState(initial.basis, kids[i] / np.sqrt(masses[i])),
-                )
-                for i in idx
-            ])
-        else:
-            rot = rots[idx]
+        rot = rots[idx]
+        if state_dependent_angle:  # the angle of each (normalized) child
+            for p, i in enumerate(idx):
+                delta = branches[i][0]
+                if delta:
+                    child = TwoModeState(initial.basis, kids[i] / np.sqrt(masses[i]))
+                    theta = optimized_angle(delta, n, child)
+                    rot[p] = rotation_matrix(-theta, initial.basis)
         kids = rot @ kids[idx]
         if u is not None:
             kids = u @ kids @ u.T
@@ -430,14 +422,13 @@ def channel_statistics(
             "the state-dependent 'optimized' rule is not linear in the "
             "branch ensemble"
         )
-    sign = {"split": 0.0, "plus": 1.0, "minus": -1.0}.get(config.sign_rule)
-    if sign is None:
-        raise ValueError(f"unknown sign rule {config.sign_rule!r}")
-    kinds = 1 if sign == 0.0 else 2
-
     n = config.n_atoms
     d = n + 1
     n_bands = 2 * n + 1
+    # split has both signs of each Delta != 0, and no +-Delta coherence
+    branches, _ = branch_masks(n, config.sign_rule)
+    sign = 0.0 if len(branches) > d else float(branches[-1][1])
+    kinds = 1 if sign == 0.0 else 2
     k = np.arange(d)
     # k1 = k2 - s of the band-s cell in column k2, and whether it exists
     k1 = k[None, :] - np.arange(-n, n + 1)[:, None]
@@ -446,12 +437,10 @@ def channel_statistics(
     # column index and weight of each block kind
     pairs = [(k1, valid[:, :, None] & valid[:, None, :]),
              (k1[::-1], sign * (valid[:, :, None] & valid[::-1, None, :]))][:kinds]
-    # R_|s| = exp(+i S^y theta/2) is real; band 0 ends the sequence
-    rots = np.zeros((n_bands, d, d))
-    for delta in range(1, d):
-        theta = resolve_angle(config.angle_rule, delta, n)
-        rots[n + delta] = rotation_matrix(-theta, initial.basis).real
-        rots[n - delta] = rots[n + delta]
+    # R_|s| = exp(+i S^y theta/2) is real; band 0 ends the sequence, and its
+    # zero row keeps it out of the capped part
+    rots = correction_stack(n, config.angle_rule).real[np.abs(np.arange(-n, d))]
+    rots[n] = 0.0
     # col[s, a, k2] = R_|s|[a, k2 - s]: where R takes the band-s cell, and
     # gat[t, s, k2] = R_|s|[k2 - t, k2 - s]: the part of it on band t
     col = rots[np.arange(n_bands)[:, None, None], k[:, None], k1[:, None, :]]

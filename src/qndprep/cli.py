@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 import time
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,22 +108,6 @@ def _config_from_args(args) -> ProtocolConfig:
     )
 
 
-def _config_echo(config: ProtocolConfig) -> dict:
-    return {
-        "n_atoms": config.n_atoms,
-        "alpha": config.alpha,
-        "tau": config.tau,
-        "max_repeats": config.max_repeats,
-        "max_rounds": config.max_rounds,
-        "basis_order": list(config.basis_order),
-        "angle_rule": config.angle_rule,
-        "seed": config.seed,
-        "sign_rule": config.sign_rule,
-        "prune_threshold": config.prune_threshold,
-        "node_cap": config.node_cap,
-    }
-
-
 def _manifest(
     out_dir: str,
     engine: str,
@@ -133,7 +119,7 @@ def _manifest(
     payload = {
         "engine": engine,
         "version": __version__,
-        "config": _config_echo(config),
+        "config": dataclasses.asdict(config),
         "wall_clock_seconds": round(elapsed, 3),
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
@@ -226,6 +212,23 @@ def _run_exact(initial, config: ProtocolConfig, engine: str):
     raise ValueError(f"unknown engine {engine!r}")
 
 
+def _marginal_table(result, config: ProtocolConfig):
+    """Header and rows of an exact engine's step marginals, one row per (step, Delta)."""
+    rows = [
+        (r + 1, config.basis_order[b], j + 1, delta, f"{p:.12e}")
+        for (r, b, j), table in sorted(result.step_marginals.items())
+        for delta, p in enumerate(table)
+    ]
+    return ["round", "basis", "repeat", "delta", "probability"], rows
+
+
+def _round_table(result, config: ProtocolConfig):
+    """Header and rows of an exact engine's round statistics, one row per round."""
+    columns = (result.round_success, result.round_first_success, result.round_fidelity)
+    rows = [(r + 1, *(f"{c[r]:.12e}" for c in columns)) for r in range(config.max_rounds)]
+    return ["round", "p_suc", "p_first_success", "f_avg"], rows
+
+
 def cmd_enumerate(args) -> int:
     config = _config_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -234,29 +237,9 @@ def cmd_enumerate(args) -> int:
     result = _run_exact(initial, config, args.engine)
 
     marg_path = os.path.join(args.out_dir, "enumerate_marginals.csv")
-    marg_rows = []
-    for (r, b, j), table in sorted(result.step_marginals.items()):
-        for delta, p in enumerate(table):
-            marg_rows.append(
-                (r + 1, config.basis_order[b], j + 1, delta, f"{p:.12e}")
-            )
-    _write_csv_atomic(
-        marg_path, ["round", "basis", "repeat", "delta", "probability"], marg_rows
-    )
-
+    _write_csv_atomic(marg_path, *_marginal_table(result, config))
     rounds_path = os.path.join(args.out_dir, "enumerate_rounds.csv")
-    rows = [
-        (
-            r + 1,
-            f"{result.round_success[r]:.12e}",
-            f"{result.round_first_success[r]:.12e}",
-            f"{result.round_fidelity[r]:.12e}",
-        )
-        for r in range(config.max_rounds)
-    ]
-    _write_csv_atomic(
-        rounds_path, ["round", "p_suc", "p_first_success", "f_avg"], rows
-    )
+    _write_csv_atomic(rounds_path, *_round_table(result, config))
 
     extra = {
         "engine_variant": args.engine,
@@ -402,34 +385,16 @@ def cmd_figures(args) -> int:
         extra["pruned_mass"] = result.pruned_mass
         extra["node_cap_hit"] = result.node_cap_hit
         if args.figure == "fig5":
-            rows = []
-            for (r, b, j), table in sorted(result.step_marginals.items()):
-                for delta, p in enumerate(table):
-                    rows.append(
-                        (r + 1, config.basis_order[b], j + 1, delta, f"{p:.12e}")
-                    )
             path = os.path.join(args.out_dir, "fig5_marginals.csv")
-            _write_csv_atomic(
-                path, ["round", "basis", "repeat", "delta", "probability"], rows
-            )
-        elif args.figure == "fig6":
-            rows = [
-                (
-                    r + 1,
-                    f"{result.round_success[r]:.12e}",
-                    f"{result.round_first_success[r]:.12e}",
-                )
-                for r in range(config.max_rounds)
-            ]
-            path = os.path.join(args.out_dir, "fig6_success_probability.csv")
-            _write_csv_atomic(path, ["round", "p_suc", "p_first_success"], rows)
-        else:
-            rows = [
-                (r + 1, f"{result.round_fidelity[r]:.12e}")
-                for r in range(config.max_rounds)
-            ]
-            path = os.path.join(args.out_dir, "fig7_average_fidelity.csv")
-            _write_csv_atomic(path, ["round", "f_avg"], rows)
+            _write_csv_atomic(path, *_marginal_table(result, config))
+        else:  # fig6 and fig7 are columns of the round table
+            name, pick = {
+                "fig6": ("fig6_success_probability.csv", itemgetter(0, 1, 2)),
+                "fig7": ("fig7_average_fidelity.csv", itemgetter(0, 3)),
+            }[args.figure]
+            header, rows = _round_table(result, config)
+            path = os.path.join(args.out_dir, name)
+            _write_csv_atomic(path, pick(header), map(pick, rows))
         outputs.append(path)
 
     elapsed = time.monotonic() - start

@@ -17,6 +17,9 @@ the same correction follows either branch.
 
 Born-rule outcome probabilities and sampling are built on the band
 operators; the POVM is retained for validating the projective limit.
+``branch_masks`` is the one place Pi_Delta is built and a sign rule is
+decoded: ``projector_apply``, ``outcome_probabilities`` and every engine in
+``protocol`` and ``analysis`` read its cached mask stack.
 """
 
 from __future__ import annotations
@@ -55,24 +58,23 @@ SignRule = Literal["split", "plus", "minus"]
 
 @dataclass(frozen=True)
 class PovmParams:
-    """Coherent probe parameters for the exact POVM.
-
-    ``cutoff`` truncates the photon-count sums; the default keeps the
-    neglected Poisson tail below 1e-12 (mean + 10 sqrt(mean)).
-    """
+    """Coherent probe parameters for the exact POVM."""
 
     alpha: float
     tau: float
-    cutoff: int = 0
 
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if self.cutoff <= 0:
-            mean = self.alpha**2
-            object.__setattr__(
-                self, "cutoff", int(math.ceil(mean + 10.0 * math.sqrt(mean))) + 10
-            )
+
+    @property
+    def cutoff(self) -> int:
+        """ceil(mean + 10 sqrt(mean)) + 10 with mean = alpha^2: a total photon
+        number past which the Poisson tail is negligible, for callers that
+        sum outcomes themselves.  Nothing here truncates at it;
+        ``povm_projector_discrepancy`` has its own window."""
+        mean = self.alpha**2
+        return int(math.ceil(mean + 10.0 * math.sqrt(mean))) + 10
 
 
 @dataclass(frozen=True)
@@ -211,38 +213,21 @@ def _band_masses(amps: np.ndarray) -> np.ndarray:
     return np.bincount(_abs_band_index(d), weights=prob, minlength=d)
 
 
-def _band_project_z(amps: np.ndarray, delta: int, sign: int) -> np.ndarray:
-    """Apply Pi_Delta in the frame where the measurement is diagonal.
-
-    Keeps the k2 = k1 + Delta band as-is and the k2 = k1 - Delta band with
-    the branch sign; for Delta = 0 the two coincide and the operator is the
-    plain diagonal projector.
-    """
-    out = np.zeros_like(amps)
-    d = amps.shape[0]
-    if delta == 0:
-        idx = np.arange(d)
-        out[idx, idx] = amps[idx, idx]
-        return out
-    k = np.arange(d - delta)
-    out[k, k + delta] = amps[k, k + delta]
-    out[k + delta, k] = sign * amps[k + delta, k]
-    return out
-
-
 @lru_cache(maxsize=None)
 def branch_masks(
     n_atoms: int, sign_rule: SignRule = "split"
 ) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray]:
     """Every (Delta, sign) outcome of one band measurement, with its mask.
 
-    Outcomes come in the order of ``outcome_probabilities``: Delta = 0, then
-    each Delta != 0 with + before -.  ``masks[i]`` is that outcome's Pi_Delta
-    in the measurement frame as an elementwise (d, d) mask on psi[k1, k2]:
-    the k2 - k1 = +Delta band as-is, the -Delta band with the branch sign,
-    both times sqrt of the sign weight (1/2 under ``split``), so that
-    sum |masks[i] * psi|^2 is the outcome's Born probability.  Cached per
-    (N, sign rule); the stack is read-only.
+    Every engine and ``outcome_probabilities`` take their outcome list and
+    order from here: Delta = 0, then each Delta != 0 with + before -.
+    ``masks[i]`` is that outcome's Pi_Delta in the measurement frame as
+    an elementwise (d, d) mask on psi[k1, k2]: the k2 - k1 = +Delta band
+    as-is, the -Delta band with the branch sign, both times sqrt of the sign
+    weight (1/2 under ``split``), so that sum |masks[i] * psi|^2 is the
+    outcome's Born probability.  Under ``plus``/``minus`` the weight is 1
+    and ``masks[Delta]`` is Pi_Delta itself, which ``projector_apply`` uses.
+    Cached per (N, sign rule); the stack is read-only.
     """
     signs = {"split": (+1, -1), "plus": (+1,), "minus": (-1,)}.get(sign_rule)
     if signs is None:
@@ -268,10 +253,9 @@ def projector_apply(state: TwoModeState, spec: ProjectorSpec) -> TwoModeState:
         raise ValueError(
             f"delta={spec.delta} exceeds the band range 0..{state.n_atoms}"
         )
+    _, masks = branch_masks(state.n_atoms, "plus" if spec.branch_sign > 0 else "minus")
     framed = to_measurement_frame(state, spec.basis)
-    projected = TwoModeState(
-        state.basis, _band_project_z(framed.amplitudes, spec.delta, spec.branch_sign)
-    )
+    projected = TwoModeState(state.basis, masks[spec.delta] * framed.amplitudes)
     return from_measurement_frame(projected, spec.basis)
 
 
@@ -283,25 +267,17 @@ def outcome_probabilities(
     Under the default ``split`` rule the two sign branches of each Delta != 0
     outcome are distinct outcomes with equal photonic parity weight; the
     ``plus``/``minus`` rules pin the sign deterministically (conventions for
-    robustness checks).
+    robustness checks).  Outcomes, order and masses come from the
+    ``branch_masks`` stack.
     """
-    framed = to_measurement_frame(state, basis)
-    masses = _band_masses(framed.amplitudes)
-    outcomes: List[Tuple[ProjectorSpec, float]] = [
-        (ProjectorSpec(0, +1, basis), float(masses[0]))
+    branches, masks = branch_masks(state.n_atoms, sign_rule)
+    amps = to_measurement_frame(state, basis).amplitudes
+    weights = (masks * masks).reshape(len(masks), -1)
+    masses = weights @ (amps.real**2 + amps.imag**2).ravel()
+    return [
+        (ProjectorSpec(delta, sign, basis), p)
+        for (delta, sign), p in zip(branches, masses.tolist())
     ]
-    for delta in range(1, state.basis.dim):
-        p = float(masses[delta])
-        if sign_rule == "split":
-            outcomes.append((ProjectorSpec(delta, +1, basis), 0.5 * p))
-            outcomes.append((ProjectorSpec(delta, -1, basis), 0.5 * p))
-        elif sign_rule == "plus":
-            outcomes.append((ProjectorSpec(delta, +1, basis), p))
-        elif sign_rule == "minus":
-            outcomes.append((ProjectorSpec(delta, -1, basis), p))
-        else:
-            raise ValueError(f"unknown sign rule {sign_rule!r}")
-    return outcomes
 
 
 def sample_outcome(
@@ -324,6 +300,8 @@ def sample_outcome(
 
 # outcome rows per batch in povm_projector_discrepancy
 _POVM_BATCH_ROWS = 1 << 15
+# half-width of its total photon number window, in Poisson standard deviations
+_POVM_WINDOW_SIGMAS = 10.0
 
 
 def _infer_delta(n_c_arr: np.ndarray, n_d_arr: np.ndarray, tau: float, n_atoms: int) -> np.ndarray:
@@ -346,9 +324,7 @@ def _infer_delta(n_c_arr: np.ndarray, n_d_arr: np.ndarray, tau: float, n_atoms: 
     return delta
 
 
-def povm_projector_discrepancy(
-    state: TwoModeState, params: PovmParams, window_sigmas: float = 10.0
-) -> float:
+def povm_projector_discrepancy(state: TwoModeState, params: PovmParams) -> float:
     """Probability-weighted L2 distance between exact-POVM and band collapse.
 
     For every photon outcome (n_c, n_d) in the truncation window, the
@@ -377,7 +353,7 @@ def povm_projector_discrepancy(
     weight = _band_masses(state.amplitudes)  # W_m over |k1 - k2| = m
 
     mean = params.alpha**2
-    half_window = window_sigmas * math.sqrt(mean)
+    half_window = _POVM_WINDOW_SIGMAS * math.sqrt(mean)
     lo = max(0, int(mean - half_window))
     hi = int(math.ceil(mean + half_window))
     chi = np.arange(n + 1) * params.tau

@@ -14,24 +14,22 @@ the normalized CDF, as ``Generator.choice`` does, keeps the chosen child
 divided by sqrt(mass) and applies R[Delta] = exp(+i S^y theta/2) to ensemble
 1.  The state changes back to the lab frame once, at the end.  A seed gives
 the outcomes that ``sample_outcome`` followed by ``apply_correction`` gives.
+
+``correction_stack`` builds R[Delta] once per (N, angle rule) for the
+sampler and both exact engines in ``analysis``; only the state-dependent
+``optimized`` rule builds a rotation per child.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .fock import (
-    FockBasis,
-    TwoModeState,
-    _sy_rotated_diagonals,
-    inner_product,
-    mmes_state,
-    rotation_matrix,
-)
+from .fock import FockBasis, TwoModeState, _sy_rotated_diagonals, rotation_matrix
 from .measurement import (
     BasisSpec,
     MeasurementRecord,
@@ -51,6 +49,7 @@ __all__ = [
     "adaptive_angle",
     "optimized_angle",
     "resolve_angle",
+    "correction_stack",
     "apply_correction",
     "repeat_until_success",
     "run_protocol",
@@ -120,6 +119,8 @@ class ProtocolConfig:
             raise ValueError("n_atoms must be at least 1")
         if self.max_repeats < 1 or self.max_rounds < 1:
             raise ValueError("max_repeats and max_rounds must be at least 1")
+        if self.prune_threshold < 0:
+            raise ValueError("prune_threshold must be non-negative")
         if self.tau is None:
             object.__setattr__(self, "tau", np.pi / (2 * self.n_atoms))
 
@@ -142,6 +143,24 @@ def resolve_angle(
     if rule == "optimized":
         return optimized_angle(delta, n_atoms, state, basis)
     raise ValueError(f"unknown angle rule {rule!r}")
+
+
+@lru_cache(maxsize=16)
+def correction_stack(n_atoms: int, angle_rule: AngleRule) -> np.ndarray:
+    """Read-only (N+1, d, d) stack of R[Delta] = exp(+i S^y theta/2), cached.
+
+    theta = ``resolve_angle(angle_rule, Delta, N)`` with no state, so an
+    unknown rule raises and ``optimized`` gives the line rule.  Row Delta is
+    the exact identity at Delta = 0 and wherever theta = 0.
+    """
+    basis = FockBasis(n_atoms)
+    stack = np.array([np.eye(basis.dim, dtype=complex)] * basis.dim)
+    for delta in range(1, basis.dim):
+        theta = resolve_angle(angle_rule, delta, n_atoms)
+        if theta != 0.0:
+            stack[delta] = rotation_matrix(-theta, basis)  # exp(+i S^y theta / 2)
+    stack.setflags(write=False)
+    return stack
 
 
 def apply_correction(
@@ -225,6 +244,7 @@ def repeat_until_success(
     fock_basis = state.basis
     branches, masks = branch_masks(config.n_atoms, config.sign_rule)
     weights = (masks * masks).reshape(len(masks), -1)
+    rots = correction_stack(config.n_atoms, config.angle_rule)
     state_dependent_angle = config.angle_rule == "optimized"
     u = basis_unitary(basis, fock_basis)
     framed = state.amplitudes
@@ -248,14 +268,12 @@ def repeat_until_success(
         framed = masks[i] * framed / math.sqrt(masses[i])
         if delta == 0:
             break
-        theta = resolve_angle(
-            config.angle_rule,
-            delta,
-            config.n_atoms,
-            TwoModeState(fock_basis, framed) if state_dependent_angle else None,
-        )
-        if theta != 0.0:  # exp(+i S^y theta / 2) on ensemble 1
-            framed = rotation_matrix(-theta, fock_basis) @ framed
+        if state_dependent_angle:
+            theta = optimized_angle(delta, config.n_atoms, TwoModeState(fock_basis, framed))
+            if theta != 0.0:  # exp(+i S^y theta / 2) on ensemble 1
+                framed = rotation_matrix(-theta, fock_basis) @ framed
+        else:
+            framed = rots[delta] @ framed
     else:
         sub.capped = True
     if u is not None:
@@ -271,7 +289,8 @@ def run_protocol(
     """Alternate basis sequences for up to max_rounds rounds.
 
     Non-convergence within the round budget is a flagged outcome carried in
-    ``converged_at = None``, not an error.
+    ``converged_at = None``, not an error.  Each round's fidelity to the MMES
+    is |<MMES|psi>|^2 = |tr psi|^2 / (N+1), as in the exact engines.
     """
     if initial.n_atoms != config.n_atoms:
         raise ValueError("initial state and config disagree on n_atoms")
@@ -280,7 +299,7 @@ def run_protocol(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    target = mmes_state(initial.basis)
+    d = initial.basis.dim
     current = initial
     rounds: List[List[SubSequenceRecord]] = []
     round_fidelities: List[float] = []
@@ -291,7 +310,7 @@ def run_protocol(
             current, sub = repeat_until_success(current, basis, config, rng)
             round_subs.append(sub)
         rounds.append(round_subs)
-        round_fidelities.append(abs(inner_product(target, current)) ** 2)
+        round_fidelities.append(abs(np.trace(current.amplitudes)) ** 2 / d)
         if converged_at is None and all(
             sub.first_delta == 0 for sub in round_subs
         ):

@@ -136,9 +136,8 @@ def test_enumeration_node_cap_spends_budget_on_heavy_branches():
 
 
 def test_enumeration_negative_threshold_rejected():
-    cfg = ProtocolConfig(n_atoms=2)
     with pytest.raises(ValueError):
-        enumerate_tree(x_polarized_state(cfg.basis), cfg, prune_threshold=-1.0)
+        ProtocolConfig(n_atoms=2, prune_threshold=-1.0)
 
 
 def test_enumeration_unknown_sign_rule_rejected():

@@ -426,6 +426,26 @@ def test_fig6_uses_exact_engine(tmp_path):
     assert p[0] <= p[1] + 1e-12
 
 
+def test_exact_figures_match_enumerate(tmp_path):
+    """fig5 writes ``enumerate``'s marginal table byte for byte; fig6 and fig7
+    are columns of its round table."""
+    small = ["--n-atoms", "3", "--rounds", "2", "--max-repeats", "3"]
+    out = {name: str(tmp_path / name) for name in ("enumerate", "fig5", "fig6", "fig7")}
+    assert run(["enumerate", "--out-dir", out["enumerate"], *small]) == 0
+    for fig in ("fig5", "fig6", "fig7"):
+        assert run(["figures", "--figure", fig, "--out-dir", out[fig], *small]) == 0
+    with open(os.path.join(out["enumerate"], "enumerate_marginals.csv"), "rb") as fh:
+        enumerated = fh.read()
+    with open(os.path.join(out["fig5"], "fig5_marginals.csv"), "rb") as fh:
+        assert fh.read() == enumerated
+    rounds = read_csv(os.path.join(out["enumerate"], "enumerate_rounds.csv"))
+    assert rounds[0] == ["round", "p_suc", "p_first_success", "f_avg"]
+    fig6 = read_csv(os.path.join(out["fig6"], "fig6_success_probability.csv"))
+    assert fig6 == [row[:3] for row in rounds]
+    fig7 = read_csv(os.path.join(out["fig7"], "fig7_average_fidelity.csv"))
+    assert fig7 == [[row[0], row[3]] for row in rounds]
+
+
 def test_all_figure_ids_run(tmp_path):
     """Every figure id produces its CSV and a manifest (small configs)."""
     small = ["--n-atoms", "4", "--rounds", "1", "--max-repeats", "2"]

@@ -22,7 +22,7 @@ from qndprep import (
     sample_outcome,
     x_polarized_state,
 )
-from qndprep.measurement import basis_unitary, to_measurement_frame
+from qndprep.measurement import basis_unitary, branch_masks, to_measurement_frame
 
 
 def random_state(n, seed):
@@ -245,6 +245,30 @@ def test_signed_band_squared_is_band_projector():
         for sign in (+1, -1):
             out = projector_apply(state, ProjectorSpec(delta, sign, "z"))
             assert out.squared_norm() == pytest.approx(band_mass, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("sign_rule", ["split", "plus", "minus"])
+def test_branch_masks_match_index_construction(n, sign_rule):
+    """Each mask is Pi_Delta written cell by cell: k2 = k1 + Delta as-is and
+    k2 = k1 - Delta with the branch sign, both times sqrt(1 / #signs);
+    ``projector_apply`` is the unweighted mask times psi."""
+    signs = {"split": (+1, -1), "plus": (+1,), "minus": (-1,)}[sign_rule]
+    expected = [(0, +1)] + [(delta, s) for delta in range(1, n + 1) for s in signs]
+    branches, masks = branch_masks(n, sign_rule)
+    assert list(branches) == expected
+    assert masks.shape == (len(expected), n + 1, n + 1)
+    assert not masks.flags.writeable
+    state = random_state(n, seed=41)
+    weight = np.sqrt(1.0 / len(signs))
+    for (delta, sign), mask in zip(expected, masks):
+        pi = np.zeros((n + 1, n + 1))
+        for k in range(n + 1 - delta):
+            pi[k, k + delta] = 1.0
+            pi[k + delta, k] = sign
+        assert np.array_equal(mask, pi if delta == 0 else weight * pi)
+        projected = projector_apply(state, ProjectorSpec(delta, sign, "z"))
+        assert np.array_equal(projected.amplitudes, pi * state.amplitudes)
 
 
 @pytest.mark.parametrize("basis", ["x", (0.9, 0.3)])

@@ -23,7 +23,7 @@ from qndprep import (
     x_polarized_state,
 )
 from qndprep.measurement import ProjectorSpec, projector_apply, to_measurement_frame
-from qndprep.protocol import resolve_angle
+from qndprep.protocol import correction_stack, resolve_angle
 
 
 # ---------------------------------------------------------------- angles
@@ -70,6 +70,35 @@ def test_resolve_angle_variants():
 
 
 # ------------------------------------------------------------ corrections
+
+
+@pytest.mark.parametrize(
+    "rule",
+    ["line", "optimized", lambda delta, n: 0.0 if delta == 2 else 0.3 * delta],
+    ids=["line", "optimized", "callable-with-zero"],
+)
+def test_correction_stack_matches_rotation(rule):
+    """Row Delta is rotation_matrix(-theta), exactly 1 at Delta = 0 and theta = 0."""
+    n = 4
+    stack = correction_stack(n, rule)
+    eye = np.eye(n + 1)
+    assert stack.shape == (n + 1, n + 1, n + 1)
+    assert np.array_equal(stack[0], eye)
+    for delta in range(1, n + 1):
+        theta = resolve_angle(rule, delta, n)
+        want = eye if theta == 0.0 else rotation_matrix(-theta, FockBasis(n))
+        assert np.array_equal(stack[delta], want)
+    with pytest.raises(ValueError):
+        stack[1, 0, 0] = 2.0  # read-only
+    with pytest.raises(ValueError):
+        correction_stack(n, "bogus")
+
+
+def test_run_protocol_unknown_angle_rule_rejected():
+    """An unknown rule fails even when no correction is ever needed."""
+    cfg = ProtocolConfig(n_atoms=3, angle_rule="bogus")
+    with pytest.raises(ValueError):
+        run_protocol(mmes_state(cfg.basis), cfg)
 
 
 def test_zero_delta_correction_is_identity():
