@@ -158,14 +158,12 @@ def fock_grid(
 @dataclass
 class _LiveNode:
     amps: np.ndarray  # unnormalized, lab frame
-    round_idx: int
-    basis_idx: int
-    repeat_idx: int
-    first_deltas: Tuple[Optional[int], ...]
+    step: StepKey  # the (round, basis, repeat) this node measures next
+    first_ok: bool  # every sequence of this round so far opened with Delta = 0
+    round_capped: bool  # a sequence of this round ended at max_repeats
+    capped: bool  # a sequence of any round ended at max_repeats
+    converged_at: Optional[int]  # 1-based first round with first_ok at its end
     path: Tuple[Tuple[int, int, int, int], ...]
-    capped: bool
-    round_capped: bool
-    converged_at: Optional[int]
 
 
 def enumerate_tree(
@@ -185,6 +183,9 @@ def enumerate_tree(
     0) as one batched matmul and one batched frame change back.  Under
     ``optimized`` each Delta != 0 child gets the rotation of its own angle.
     Python only does the bookkeeping of the children that survive pruning.
+
+    A child's next step and flags depend only on the node's step and on
+    whether its Delta is 0, so each node works them out once per case.
     Children are expanded heaviest first, so a run that hits
     ``config.node_cap`` has spent its budget on the heavier branches.
     Branches below ``config.prune_threshold`` (absolute probability before
@@ -211,7 +212,6 @@ def enumerate_tree(
     expansions = 0
 
     deltas = np.array([delta for delta, _ in branches])
-    all_zero = (0,) * n_bases
     rots = correction_stack(n, config.angle_rule)[deltas]
     state_dependent_angle = config.angle_rule == "optimized"
     # (U, U^dagger) per basis; None in z, where the frame is the identity
@@ -220,39 +220,24 @@ def enumerate_tree(
         u = basis_unitary(basis, initial.basis)
         frames[basis] = (u, None if u is None else u.conj().T)
 
-    stack = [
-        _LiveNode(
-            amps=np.array(initial.amplitudes, dtype=complex),
-            round_idx=0,
-            basis_idx=0,
-            repeat_idx=0,
-            first_deltas=(None,) * n_bases,
-            path=(),
-            capped=False,
-            round_capped=False,
-            converged_at=None,
-        )
-    ]
+    root = np.array(initial.amplitudes, dtype=complex)
+    stack = [_LiveNode(root, (0, 0, 0), True, False, False, None, ())]
     while stack:
         node = stack.pop()
-        if node_cap_hit:
-            unexplored_mass += float(np.sum(np.abs(node.amps) ** 2))
-            continue
-        expansions += 1
-        if expansions > config.node_cap:
+        if expansions >= config.node_cap:
             node_cap_hit = True
             unexplored_mass += float(np.sum(np.abs(node.amps) ** 2))
             continue
+        expansions += 1
 
-        r, b, j = node.round_idx, node.basis_idx, node.repeat_idx
+        r, b, j = node.step
         u, uh = frames[config.basis_order[b]]
         framed = node.amps if u is None else uh @ node.amps @ uh.T
         kids = masks * framed
         masses = np.sum(np.abs(kids) ** 2, axis=(1, 2))
-        key = (r, b, j)
-        if key not in marginals:
-            marginals[key] = np.zeros(d)
-        np.add.at(marginals[key], deltas, masses)  # in child order
+        if node.step not in marginals:
+            marginals[node.step] = np.zeros(d)
+        np.add.at(marginals[node.step], deltas, masses)  # in child order
         keep = (masses > 0.0) & (masses >= config.prune_threshold)
         pruned_mass += float(masses[~keep].sum())
         idx = np.flatnonzero(keep).tolist()
@@ -273,30 +258,32 @@ def enumerate_tree(
         traces = np.trace(kids, axis1=1, axis2=2).tolist()
         masses = masses.tolist()
 
+        # where the children go, by whether their Delta is 0: a sequence ends
+        # at Delta = 0 or at the repeat cap, a round after its last basis
+        cap = j + 1 >= config.max_repeats
+        moves = {
+            True: ((r, b + 1, 0), node.first_ok, node.round_capped, node.capped),
+            False: (
+                (r, b + 1, 0) if cap else (r, b, j + 1),
+                False,  # this sequence did not open with Delta = 0
+                node.round_capped or cap,
+                node.capped or cap,
+            ),
+        }
         live: List[Tuple[float, _LiveNode]] = []
         for p, i in enumerate(idx):
             delta, sign = branches[i]
             mass = masses[i]
-            first_deltas = node.first_deltas
-            if j == 0:
-                first_deltas = first_deltas[:b] + (delta,) + first_deltas[b + 1:]
-            path = node.path + ((r, b, delta, sign),) if store_paths else node.path
-            capped, round_capped = node.capped, node.round_capped
-            basis_idx, repeat_idx = b, j + 1
-            if delta == 0:
-                basis_idx, repeat_idx = b + 1, 0
-            elif j + 1 >= config.max_repeats:
-                capped = round_capped = True
-                basis_idx, repeat_idx = b + 1, 0
+            step, first_ok, round_capped, capped = moves[delta == 0]
             converged_at = node.converged_at
-            round_idx = r
-            if basis_idx == n_bases:  # round boundary
+            path = node.path + ((r, b, delta, sign),) if store_paths else node.path
+            if step[1] == n_bases:  # round boundary
                 # |<MMES|psi_tilde>|^2 = |sum_k psi(k,k)|^2 / (N+1)
                 fid = abs(traces[p]) ** 2 / d
                 round_fidelity[r] += fid
                 if not round_capped:
                     round_success[r] += lab_mass[p]
-                if first_deltas == all_zero:
+                if first_ok:
                     round_first_success[r] += lab_mass[p]
                     if converged_at is None:
                         converged_at = r + 1
@@ -320,23 +307,9 @@ def enumerate_tree(
                         )
                     )
                     continue
-                round_idx, basis_idx, repeat_idx = r + 1, 0, 0
-                first_deltas = (None,) * n_bases
-                round_capped = False
-            live.append((
-                mass,
-                _LiveNode(
-                    amps=kids[p],
-                    round_idx=round_idx,
-                    basis_idx=basis_idx,
-                    repeat_idx=repeat_idx,
-                    first_deltas=first_deltas,
-                    path=path,
-                    capped=capped,
-                    round_capped=round_capped,
-                    converged_at=converged_at,
-                ),
-            ))
+                step, first_ok, round_capped = (r + 1, 0, 0), True, False
+            child = _LiveNode(kids[p], step, first_ok, round_capped, capped, converged_at, path)
+            live.append((mass, child))
         # ascending mass: the heaviest child is popped first
         live.sort(key=lambda item: item[0])
         stack.extend(child for _, child in live)
@@ -353,7 +326,7 @@ def enumerate_tree(
         round_success=np.array(round_success),
         round_first_success=np.array(round_first_success),
         round_fidelity=np.array(round_fidelity),
-        expanded_nodes=min(expansions, config.node_cap),
+        expanded_nodes=expansions,
     )
 
 

@@ -41,6 +41,7 @@ from .measurement import ProjectorSpec, projector_apply
 from .protocol import ProtocolConfig
 
 FIGURE_IDS = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4", "fig5", "fig6", "fig7")
+_FIG3_GRID_ATOMS = 150  # N of the fig3a/fig3b matrix elements
 
 # The Delta != 0 panels use the branch sign (-1)^Delta: amplitudes on the two
 # bands satisfy d(k, k+Delta) = (-1)^Delta d(k+Delta, k) under an S^y rotation,
@@ -273,14 +274,14 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _fig3_matrix_columns(k: int, n_atoms: int = 150, theta_points: int = 301):
-    """Grid angles and |<k + Delta| exp(+i S^y theta/2) |k>|, shape (theta_points, N + 1 - k).
+def _fig3_matrix_columns(k: int):
+    """301 grid angles and |<k + Delta| exp(+i S^y theta/2) |k>|, shape (301, N + 1 - k).
 
     Column k of V diag(e^{i theta lambda/2}) V^dagger for every angle is one
-    (theta_points, d) x (d, d) product; no rotation matrix is built.
+    (301, d) x (d, d) product; no rotation matrix is built.
     """
-    thetas = np.linspace(0.0, np.pi, theta_points)
-    evals, evecs = _sy_eigendecomposition(n_atoms)
+    thetas = np.linspace(0.0, np.pi, 301)
+    evals, evecs = _sy_eigendecomposition(_FIG3_GRID_ATOMS)
     phases = np.exp(0.5j * thetas[:, None] * evals)
     return thetas, np.abs(phases @ (evecs.T * evecs[k].conj()[:, None]))[:, k:]
 
@@ -294,8 +295,8 @@ def _fig3_matrix_grid(k: int):
     return rows
 
 
-def _fig3_fidelities(n_atoms: int = 10, theta_points: int = 401):
-    """Grid angles and, per Delta, the corrected fidelity at each angle.
+def _fig3_fidelities(n_atoms: int):
+    """401 grid angles and, per Delta, the corrected fidelity at each angle.
 
     The fidelity of exp(+i S^y theta/2) P_Delta psi0 with the MMES is
     |tr(exp(+i S^y theta/2) P_Delta psi0)|^2 / (N+1) / |P_Delta psi0|^2, for
@@ -303,7 +304,7 @@ def _fig3_fidelities(n_atoms: int = 10, theta_points: int = 401):
     """
     basis = FockBasis(n_atoms)
     psi0 = x_polarized_state(basis)
-    thetas = np.linspace(0.0, np.pi, theta_points)
+    thetas = np.linspace(0.0, np.pi, 401)
     fids = {}
     for delta in range(n_atoms + 1):
         # use the movable sign branch (-1)^Delta: the other branch cannot be
@@ -318,7 +319,7 @@ def _fig3_fidelities(n_atoms: int = 10, theta_points: int = 401):
     return thetas, fids
 
 
-def _fig3_fidelity_sweep(n_atoms: int = 10):
+def _fig3_fidelity_sweep(n_atoms: int):
     thetas, fids = _fig3_fidelities(n_atoms)
     sweep_rows = []
     argmax_rows = []
@@ -353,7 +354,7 @@ def cmd_figures(args) -> int:
         path = os.path.join(args.out_dir, f"{args.figure}_matrix_elements.csv")
         _write_csv_atomic(path, ["delta", "theta", "magnitude"], rows)
         outputs.append(path)
-        extra["n_atoms_grid"] = 150
+        extra["n_atoms_grid"] = _FIG3_GRID_ATOMS
     elif args.figure in ("fig3c", "fig3d"):
         sweep_rows, argmax_rows = _fig3_fidelity_sweep(config.n_atoms)
         if args.figure == "fig3c":

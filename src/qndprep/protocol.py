@@ -70,15 +70,14 @@ def optimized_angle(
     n_atoms: int,
     state: Optional[TwoModeState] = None,
     basis: BasisSpec = "z",
-    grid_points: int = 241,
 ) -> float:
     """Angle that maximizes the next-step Delta=0 probability for ``state``.
 
     Falls back to the linear rule when no state is supplied.  Used for
     comparison experiments; the linear rule is the protocol default.
 
-    All grid angles are scored in one pass from the diagonal of
-    exp(+i S^y theta/2) psi (``fock._sy_rotated_diagonals``), with no
+    All 241 grid angles in [0, pi] are scored in one pass from the diagonal
+    of exp(+i S^y theta/2) psi (``fock._sy_rotated_diagonals``), with no
     rotation matrix built.  The first grid angle with the largest Delta=0
     mass wins.
     """
@@ -86,7 +85,7 @@ def optimized_angle(
         return 0.0
     if state is None:
         return adaptive_angle(delta, n_atoms)
-    thetas = np.linspace(0.0, np.pi, grid_points)
+    thetas = np.linspace(0.0, np.pi, 241)
     framed = to_measurement_frame(state, basis).amplitudes
     diag = _sy_rotated_diagonals(thetas, framed)
     p0 = np.sum(diag.real**2 + diag.imag**2, axis=1)
@@ -121,6 +120,10 @@ class ProtocolConfig:
             raise ValueError("max_repeats and max_rounds must be at least 1")
         if self.prune_threshold < 0:
             raise ValueError("prune_threshold must be non-negative")
+        if self.node_cap < 1:
+            raise ValueError("node_cap must be at least 1")
+        if not self.basis_order:
+            raise ValueError("basis_order must name at least one basis")
         if self.tau is None:
             object.__setattr__(self, "tau", np.pi / (2 * self.n_atoms))
 

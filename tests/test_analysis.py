@@ -1,5 +1,7 @@
 """Tests for exact enumeration, channel evolution and Monte Carlo analysis."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import comb
@@ -155,6 +157,12 @@ def test_enumeration_counts_expanded_nodes():
     res = enumerate_tree(x_polarized_state(capped.basis), capped)
     assert res.node_cap_hit
     assert res.expanded_nodes == 50
+    # the cap boundary: exactly the 4 expansions the MMES input needs
+    for cap, hit in ((4, False), (3, True)):
+        res = enumerate_tree(mmes_state(cfg.basis), replace(cfg, node_cap=cap))
+        assert res.node_cap_hit is hit
+        assert res.expanded_nodes == cap
+        assert res.unexplored_mass == pytest.approx(float(hit), abs=1e-12)
 
 
 def test_enumeration_stored_states_own_their_memory():
@@ -211,6 +219,33 @@ def test_enumeration_terminals_replay_their_paths(extra):
         replayed = replay_path(initial, cfg, term.path)
         assert np.max(np.abs(replayed.amplitudes - term.state.amplitudes)) < 1e-12
         assert replayed.squared_norm() == pytest.approx(term.mass, abs=1e-12)
+        trace = np.trace(replayed.amplitudes)
+        fidelity = abs(trace) ** 2 / (cfg.n_atoms + 1) / term.mass
+        assert term.fidelity == pytest.approx(fidelity, abs=1e-12)
+        assert (term.capped, term.converged_at) == path_flags(cfg, term.path)
+    # both flags are exercised, so the comparison cannot pass vacuously
+    assert any(term.capped for term in res.terminals)
+    assert any(term.converged_at is not None for term in res.terminals)
+
+
+def path_flags(cfg, path):
+    """(capped, converged_at) of a path, from its outcomes per (round, basis):
+    capped if some sequence has max_repeats outcomes all with Delta != 0,
+    converged_at the first 1-based round whose sequences all open with Delta = 0."""
+    sequences = {}
+    for r, b, delta, _ in path:
+        sequences.setdefault((r, b), []).append(delta)
+    capped = any(
+        len(deltas) == cfg.max_repeats and 0 not in deltas
+        for deltas in sequences.values()
+    )
+    rounds = sorted({r for r, _ in sequences})
+    converged = [
+        r + 1
+        for r in rounds
+        if all(sequences[(r, b)][0] == 0 for b in range(len(cfg.basis_order)))
+    ]
+    return capped, (converged[0] if converged else None)
 
 
 def test_enumeration_initial_fidelity():

@@ -294,6 +294,13 @@ def test_enumerate_tree_manifest_counts_nodes(tmp_path):
     assert read_manifest(capped)["expanded_nodes"] == 5
 
 
+def test_enumerate_node_cap_below_one_rejected(tmp_path, capsys):
+    """A zero node cap is bad input (exit 2), not a partial result (exit 3)."""
+    args = ["enumerate", "--n-atoms", "2", "--engine", "tree", "--node-cap", "0"]
+    assert run([*args, "--out-dir", str(tmp_path)]) == 2
+    assert "error: node_cap must be at least 1" in capsys.readouterr().err
+
+
 def test_bad_basis_order_rejected(tmp_path, capsys):
     code = run(
         [

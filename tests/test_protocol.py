@@ -155,6 +155,12 @@ def test_config_defaults_and_validation():
         ProtocolConfig(n_atoms=2, max_repeats=0)
     with pytest.raises(ValueError):
         ProtocolConfig(n_atoms=2, max_rounds=0)
+    with pytest.raises(ValueError, match="basis_order"):
+        ProtocolConfig(n_atoms=2, basis_order=())
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="node_cap"):
+            ProtocolConfig(n_atoms=2, node_cap=cap)
+    assert ProtocolConfig(n_atoms=2, node_cap=1).node_cap == 1
 
 
 # --------------------------------------------------- repeat-until-success
