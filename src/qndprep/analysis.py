@@ -4,16 +4,14 @@ Three engines compute the same statistics:
 
 * ``enumerate_tree`` expands every (Delta, sign) branch of the outcome tree
   depth-first, heaviest child first, carrying unnormalized states whose
-  squared norms are the branch probabilities.  A node's children come from
-  one batched pass over the signed-band mask stack of
-  ``measurement.branch_masks``: their masses in one reduction, their
-  corrections from the R[Delta] stack of ``protocol.correction_stack`` in
-  one batched matmul, one frame change back.  Branch mass
-  below the pruning threshold is dropped but tallied, so terminal + pruned +
-  unexplored mass always accounts for the full unit of probability.  Exact
-  for small systems; at N = 10 the tree fragments (roughly 40% of the mass
-  sits in branches below 1e-10), so path-level enumeration cannot be both
-  exact and bounded.
+  squared norms are the branch probabilities.  It shares the sampler's
+  frame (``measurement._frame``), branch masses
+  (``measurement._branch_masses``) and correction (``protocol._correct``).
+  Branch mass below the pruning threshold is dropped but tallied, so
+  terminal + pruned + unexplored mass always accounts for the full unit of
+  probability.  Exact for small systems; at N = 10 the tree fragments
+  (roughly 40% of the mass sits in branches below 1e-10), so path-level
+  enumeration cannot be both exact and bounded.
 * ``channel_statistics`` evolves the branch-ensemble density matrix through
   the measurement-and-correction channel.  All aggregate statistics
   (marginals, success probabilities, average fidelity) are linear in the
@@ -23,14 +21,15 @@ Three engines compute the same statistics:
   blocks, indexed by the offset k2 - k1, k2 and k2', so one
   measure-and-correct step costs O(d^4) with d = N + 1; the O(d^5) frame
   changes of the full (d, d, d, d) tensor happen only at sequence
-  boundaries.  Its band sign comes from ``measurement.branch_masks`` and its
-  rotations from ``protocol.correction_stack``.  N = 30 with L = 25 and
-  three rounds takes seconds.
+  boundaries.  Its frames come from ``measurement._frame``, its band sign
+  from ``measurement.branch_masks`` and its rotations from
+  ``protocol.correction_stack``.  N = 30 with L = 25 and three rounds takes
+  seconds.
 * ``monte_carlo_estimates`` cross-checks both by Born-rule sampling of
   ``run_protocol`` trajectories.  Each repeat-until-success sequence runs in
-  its measurement frame on the same mask stack as the tree, one uniform draw
-  per step (``protocol.repeat_until_success``), so a seed gives the outcomes
-  of ``sample_outcome`` followed by ``apply_correction``.
+  its measurement frame with the tree's three helpers, one uniform draw per
+  step (``protocol.repeat_until_success``), so a seed gives the outcomes of
+  ``sample_outcome`` followed by ``apply_correction``.
 """
 
 from __future__ import annotations
@@ -40,11 +39,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fock import TwoModeState, rotation_matrix
+from .fock import TwoModeState
+from .fock import rotation_matrix  # noqa: F401  perfbench/tracing.py wraps this binding
 from .measurement import (
     BasisSpec,
     ProjectorSpec,
-    basis_unitary,
+    _branch_masses,
+    _frame,
     branch_masks,
     from_measurement_frame,  # noqa: F401  perfbench/tracing.py wraps this binding
     projector_apply,
@@ -52,9 +53,9 @@ from .measurement import (
 )
 from .protocol import (
     ProtocolConfig,
+    _correct,
     apply_correction,
     correction_stack,
-    optimized_angle,
     run_protocol,
 )
 
@@ -126,6 +127,9 @@ class EnumerationResult:
     round_fidelity: np.ndarray
     # nodes whose children were computed (at most config.node_cap)
     expanded_nodes: int = 0
+    # terminal branches reached; ``terminals`` holds them only when
+    # ``enumerate_tree`` stores states or paths, and is empty otherwise
+    terminal_count: int = 0
 
     def accounted_mass(self) -> float:
         return self.terminal_mass + self.pruned_mass + self.unexplored_mass
@@ -174,15 +178,11 @@ def enumerate_tree(
 ) -> EnumerationResult:
     """Exact expansion of the protocol's stochastic outcome tree.
 
-    Depth-first, so live memory stays proportional to tree depth.  All
-    (Delta, sign) children of a node come from one batched pass: the node,
-    changed to the measurement frame, times the (C, d, d) stack of signed-band
-    masks from ``measurement.branch_masks`` (C = 2N + 1 under ``split``,
-    N + 1 under ``plus``/``minus``), their masses in one reduction, the
-    ``protocol.correction_stack`` rows of their Delta (identity at Delta =
-    0) as one batched matmul and one batched frame change back.  Under
-    ``optimized`` each Delta != 0 child gets the rotation of its own angle.
-    Python only does the bookkeeping of the children that survive pruning.
+    Depth-first, so live memory stays proportional to tree depth.  A node
+    enters its measurement frame once; ``_branch_masses`` gives the masses
+    of all its (Delta, sign) children, and only those that survive pruning
+    are built from the ``branch_masks`` stack, corrected by ``_correct`` and
+    changed back, each step batched over them.
 
     A child's next step and flags depend only on the node's step and on
     whether its Delta is 0, so each node works them out once per case.
@@ -210,15 +210,9 @@ def enumerate_tree(
     unexplored_mass = 0.0
     node_cap_hit = False
     expansions = 0
+    terminal_count = 0
 
     deltas = np.array([delta for delta, _ in branches])
-    rots = correction_stack(n, config.angle_rule)[deltas]
-    state_dependent_angle = config.angle_rule == "optimized"
-    # (U, U^dagger) per basis; None in z, where the frame is the identity
-    frames = {}
-    for basis in config.basis_order:
-        u = basis_unitary(basis, initial.basis)
-        frames[basis] = (u, None if u is None else u.conj().T)
 
     root = np.array(initial.amplitudes, dtype=complex)
     stack = [_LiveNode(root, (0, 0, 0), True, False, False, None, ())]
@@ -231,10 +225,9 @@ def enumerate_tree(
         expansions += 1
 
         r, b, j = node.step
-        u, uh = frames[config.basis_order[b]]
+        u, uh = _frame(config.basis_order[b], n)
         framed = node.amps if u is None else uh @ node.amps @ uh.T
-        kids = masks * framed
-        masses = np.sum(np.abs(kids) ** 2, axis=(1, 2))
+        masses = _branch_masses(framed, config.sign_rule)
         if node.step not in marginals:
             marginals[node.step] = np.zeros(d)
         np.add.at(marginals[node.step], deltas, masses)  # in child order
@@ -243,18 +236,9 @@ def enumerate_tree(
         idx = np.flatnonzero(keep).tolist()
         if not idx:
             continue
-        rot = rots[idx]
-        if state_dependent_angle:  # the angle of each (normalized) child
-            for p, i in enumerate(idx):
-                delta = branches[i][0]
-                if delta:
-                    child = TwoModeState(initial.basis, kids[i] / np.sqrt(masses[i]))
-                    theta = optimized_angle(delta, n, child)
-                    rot[p] = rotation_matrix(-theta, initial.basis)
-        kids = rot @ kids[idx]
+        kids = _correct(masks[idx] * framed, deltas[idx], config)
         if u is not None:
             kids = u @ kids @ u.T
-        lab_mass = np.sum(np.abs(kids) ** 2, axis=(1, 2)).tolist()
         traces = np.trace(kids, axis1=1, axis2=2).tolist()
         masses = masses.tolist()
 
@@ -282,30 +266,32 @@ def enumerate_tree(
                 fid = abs(traces[p]) ** 2 / d
                 round_fidelity[r] += fid
                 if not round_capped:
-                    round_success[r] += lab_mass[p]
+                    round_success[r] += mass
                 if first_ok:
-                    round_first_success[r] += lab_mass[p]
+                    round_first_success[r] += mass
                     if converged_at is None:
                         converged_at = r + 1
                 if r + 1 >= config.max_rounds:
                     terminal_mass += mass
+                    terminal_count += 1
                     if capped:
                         capped_mass += mass
-                    terminals.append(
-                        SequenceTreeNode(
-                            mass=mass,
-                            fidelity=fid / mass,
-                            path=path,
-                            capped=capped,
-                            converged_at=converged_at,
-                            # a copy, so the node's child stack is not kept alive
-                            state=(
-                                TwoModeState(initial.basis, kids[p].copy())
-                                if store_states
-                                else None
-                            ),
+                    if store_states or store_paths:
+                        terminals.append(
+                            SequenceTreeNode(
+                                mass=mass,
+                                fidelity=fid / mass,
+                                path=path,
+                                capped=capped,
+                                converged_at=converged_at,
+                                # a copy, so the node's child stack is not kept alive
+                                state=(
+                                    TwoModeState(initial.basis, kids[p].copy())
+                                    if store_states
+                                    else None
+                                ),
+                            )
                         )
-                    )
                     continue
                 step, first_ok, round_capped = (r + 1, 0, 0), True, False
             child = _LiveNode(kids[p], step, first_ok, round_capped, capped, converged_at, path)
@@ -327,6 +313,7 @@ def enumerate_tree(
         round_first_success=np.array(round_first_success),
         round_fidelity=np.array(round_fidelity),
         expanded_nodes=expansions,
+        terminal_count=terminal_count,
     )
 
 
@@ -435,7 +422,6 @@ def channel_statistics(
     # corrected cap part: rho[a, k, b, l] = sum col[s, a, k] x[s, k, l] col[+-s, b, l]
     col_a = col.transpose(2, 1, 0)[:, None]
     col_b = [c.transpose(2, 0, 1) for c in (col, col[::-1])]
-    frames = [basis_unitary(basis, initial.basis) for basis in config.basis_order]
     marginals: Dict[StepKey, np.ndarray] = {}
     round_success = np.zeros(config.max_rounds)
     round_first_success = np.zeros(config.max_rounds)
@@ -445,7 +431,7 @@ def channel_statistics(
         """One repeat-until-success sequence on lab-frame [total] or [first,
         clean, total] (emptied once measured); returns the new [first, clean,
         total].  ``total``, the whole ensemble, sets the step marginals."""
-        uh = None if frames[b] is None else frames[b].conj().T
+        u, uh = _frame(config.basis_order[b], n)
         blocks = np.array([
             [f[k1[:, :, None], k[:, None], kc[:, None, :], k] * w for kc, w in pairs]
             for f in (_frame_change(c, uh) for c in comps)
@@ -471,7 +457,7 @@ def channel_statistics(
         for i, zero_block in enumerate((first_zero, zero[0], zero[-1])):
             part = capped if i == 2 else np.zeros((d, d, d, d), complex)
             np.einsum("kkll->kl", part)[...] += zero_block  # band 0 at rho[k, k, l, l]
-            out.append(_frame_change(part, frames[b]))
+            out.append(_frame_change(part, u))
         return out
 
     rho = np.einsum("ij,kl->ijkl", initial.amplitudes, initial.amplitudes.conj())
@@ -479,7 +465,7 @@ def channel_statistics(
         # first: every sequence so far opened with Delta = 0; clean: none hit
         # the repeat cap; total: the whole ensemble
         comps = [rho]
-        for b in range(len(frames)):
+        for b in range(len(config.basis_order)):
             comps = run_sequence(comps, r, b)
         first, clean, rho = comps
         round_first_success[r] = np.einsum("ijij->", first).real

@@ -251,7 +251,7 @@ def cmd_enumerate(args) -> int:
     if args.engine == "tree":
         extra["terminal_mass"] = result.terminal_mass
         extra["capped_mass"] = result.capped_mass
-        extra["terminal_branches"] = len(result.terminals)
+        extra["terminal_branches"] = result.terminal_count
         extra["expanded_nodes"] = result.expanded_nodes
     else:
         extra["total_mass"] = result.total_mass

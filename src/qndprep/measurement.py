@@ -16,10 +16,10 @@ n_d: the branch sign is drawn or pinned by the protocol's ``sign_rule`` and
 the same correction follows either branch.
 
 Born-rule outcome probabilities and sampling are built on the band
-operators; the POVM is retained for validating the projective limit.
-``branch_masks`` is the one place Pi_Delta is built and a sign rule is
-decoded: ``projector_apply``, ``outcome_probabilities`` and every engine in
-``protocol`` and ``analysis`` read its cached mask stack.
+operators; the POVM is retained for validating the projective limit.  The
+public functions and every engine in ``protocol`` and ``analysis`` share one
+owner per piece: ``_frame`` for a basis's (U, U^dagger), ``branch_masks``
+for Pi_Delta and the sign rule, ``_branch_masses`` for the Born masses.
 """
 
 from __future__ import annotations
@@ -118,17 +118,28 @@ def basis_unitary(basis: BasisSpec, fock_basis: FockBasis) -> Union[np.ndarray, 
     return _rotation_unitary(RotationSpec(theta=theta, phi=phi), fock_basis)
 
 
+@lru_cache(maxsize=32)
+def _frame(basis: BasisSpec, n_atoms: int):
+    """Cached read-only (U, U^dagger) of ``basis``, (None, None) in z: psi
+    enters the frame as U^dagger psi U^dagger^T and leaves it as U psi U^T."""
+    u = basis_unitary(basis, FockBasis(n_atoms))
+    if u is None:
+        return None, None
+    pair = np.array([u, u.conj()])
+    pair.setflags(write=False)
+    return pair[0], pair[1].T
+
+
 def to_measurement_frame(state: TwoModeState, basis: BasisSpec) -> TwoModeState:
     """Rotate amplitudes into the frame where the measurement is diagonal."""
-    u = basis_unitary(basis, state.basis)
-    if u is None:
+    _, uh = _frame(basis, state.n_atoms)
+    if uh is None:
         return state
-    uh = u.conj().T
     return TwoModeState(state.basis, uh @ state.amplitudes @ uh.T)
 
 
 def from_measurement_frame(state: TwoModeState, basis: BasisSpec) -> TwoModeState:
-    u = basis_unitary(basis, state.basis)
+    u, _ = _frame(basis, state.n_atoms)
     if u is None:
         return state
     return TwoModeState(state.basis, u @ state.amplitudes @ u.T)
@@ -199,21 +210,6 @@ def povm_apply(
 
 
 @lru_cache(maxsize=None)
-def _abs_band_index(d: int) -> np.ndarray:
-    k = np.arange(d)
-    idx = np.abs(k[:, None] - k[None, :]).ravel()
-    idx.setflags(write=False)
-    return idx
-
-
-def _band_masses(amps: np.ndarray) -> np.ndarray:
-    """Probability mass on each |k1-k2| = Delta band, Delta = 0..N."""
-    d = amps.shape[0]
-    prob = (amps.real**2 + amps.imag**2).ravel()
-    return np.bincount(_abs_band_index(d), weights=prob, minlength=d)
-
-
-@lru_cache(maxsize=None)
 def branch_masks(
     n_atoms: int, sign_rule: SignRule = "split"
 ) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray]:
@@ -247,6 +243,20 @@ def branch_masks(
     return branches, masks
 
 
+@lru_cache(maxsize=16)
+def _born_weights(n_atoms: int, sign_rule: SignRule) -> np.ndarray:
+    weights = np.square(branch_masks(n_atoms, sign_rule)[1]).reshape(-1, (n_atoms + 1) ** 2)
+    weights.setflags(write=False)
+    return weights
+
+
+def _branch_masses(amps: np.ndarray, sign_rule: SignRule) -> np.ndarray:
+    """Born mass of each ``branch_masks`` outcome of a framed grid, in its order:
+    the cached masks^2 stack times |psi|^2, with no C d^2 array built per call.
+    Under ``plus`` entry Delta is the mass on the bands |k1 - k2| = Delta."""
+    return _born_weights(amps.shape[0] - 1, sign_rule) @ (amps.real**2 + amps.imag**2).ravel()
+
+
 def projector_apply(state: TwoModeState, spec: ProjectorSpec) -> TwoModeState:
     """Unnormalized post-measurement state Pi_Delta |psi>."""
     if spec.delta > state.n_atoms:
@@ -270,10 +280,8 @@ def outcome_probabilities(
     robustness checks).  Outcomes, order and masses come from the
     ``branch_masks`` stack.
     """
-    branches, masks = branch_masks(state.n_atoms, sign_rule)
-    amps = to_measurement_frame(state, basis).amplitudes
-    weights = (masks * masks).reshape(len(masks), -1)
-    masses = weights @ (amps.real**2 + amps.imag**2).ravel()
+    branches, _ = branch_masks(state.n_atoms, sign_rule)
+    masses = _branch_masses(to_measurement_frame(state, basis).amplitudes, sign_rule)
     return [
         (ProjectorSpec(delta, sign, basis), p)
         for (delta, sign), p in zip(branches, masses.tolist())
@@ -350,7 +358,7 @@ def povm_projector_discrepancy(state: TwoModeState, params: PovmParams) -> float
     array for a batch of outcomes across consecutive n_tot at a time.
     """
     n = state.n_atoms
-    weight = _band_masses(state.amplitudes)  # W_m over |k1 - k2| = m
+    weight = _branch_masses(state.amplitudes, "plus")  # W_m over |k1 - k2| = m
 
     mean = params.alpha**2
     half_window = _POVM_WINDOW_SIGMAS * math.sqrt(mean)

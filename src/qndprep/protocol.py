@@ -6,18 +6,14 @@ rotate ensemble 1 by the adaptive angle and measure again.  Rounds repeat up
 to a configured maximum; convergence is declared on the first round whose
 sequences both open with Delta = 0.
 
-``repeat_until_success`` is the sampler's step kernel.  It changes to the
-measurement frame once per sequence and stays there: each step takes every
-branch mass from the ``measurement.branch_masks`` stack (the one the exact
-tree expands) in one reduction, draws the branch with one uniform number on
-the normalized CDF, as ``Generator.choice`` does, keeps the chosen child
-divided by sqrt(mass) and applies R[Delta] = exp(+i S^y theta/2) to ensemble
-1.  The state changes back to the lab frame once, at the end.  A seed gives
-the outcomes that ``sample_outcome`` followed by ``apply_correction`` gives.
-
-``correction_stack`` builds R[Delta] once per (N, angle rule) for the
-sampler and both exact engines in ``analysis``; only the state-dependent
-``optimized`` rule builds a rotation per child.
+``repeat_until_success`` is the sampler's step kernel.  It stays in the
+measurement frame (``measurement._frame``) for a whole sequence; each step
+draws a branch from its ``measurement._branch_masses`` with one uniform
+number on the normalized CDF, as ``Generator.choice`` does, keeps the child
+divided by sqrt(mass) and corrects it with ``_correct``, the R[Delta] =
+exp(+i S^y theta/2) step it shares with the tree.  A seed gives the
+outcomes of ``sample_outcome`` followed by ``apply_correction``.
+``correction_stack`` builds R[Delta] once per (N, angle rule).
 """
 
 from __future__ import annotations
@@ -35,7 +31,8 @@ from .measurement import (
     MeasurementRecord,
     ProjectorSpec,
     SignRule,
-    basis_unitary,
+    _branch_masses,
+    _frame,
     branch_masks,
     from_measurement_frame,
     sample_outcome,  # noqa: F401  perfbench/tracing.py wraps this binding
@@ -166,6 +163,23 @@ def correction_stack(n_atoms: int, angle_rule: AngleRule) -> np.ndarray:
     return stack
 
 
+def _correct(kids: np.ndarray, deltas, config: ProtocolConfig) -> np.ndarray:
+    """R[Delta] @ kid for framed children: one (d, d) kid and its int Delta, or
+    a (C, d, d) stack and its C Deltas.  Rows come from ``correction_stack``;
+    under ``optimized`` each Delta != 0 kid gets the rotation of its own
+    ``optimized_angle`` (its norm does not matter), the identity at angle 0."""
+    stack = correction_stack(config.n_atoms, config.angle_rule)
+    rots = stack[deltas]
+    if config.angle_rule == "optimized":
+        rots, deltas = rots.copy(), np.asarray(deltas)
+        for i in np.ndindex(deltas.shape):
+            if deltas[i]:
+                child = TwoModeState(config.basis, kids[i])
+                theta = optimized_angle(deltas[i], config.n_atoms, child)
+                rots[i] = rotation_matrix(-theta, config.basis) if theta != 0.0 else stack[0]
+    return rots @ kids
+
+
 def apply_correction(
     state: TwoModeState, delta: int, basis: BasisSpec, theta: Optional[float] = None
 ) -> TwoModeState:
@@ -244,19 +258,13 @@ def repeat_until_success(
     normalized.  Hitting the cap is flagged, not an error; the last
     correction is still applied so the state stays usable.
     """
-    fock_basis = state.basis
     branches, masks = branch_masks(config.n_atoms, config.sign_rule)
-    weights = (masks * masks).reshape(len(masks), -1)
-    rots = correction_stack(config.n_atoms, config.angle_rule)
-    state_dependent_angle = config.angle_rule == "optimized"
-    u = basis_unitary(basis, fock_basis)
-    framed = state.amplitudes
-    if u is not None:
-        uh = u.conj().T
-        framed = uh @ framed @ uh.T
+    correction_stack(config.n_atoms, config.angle_rule)  # an unknown rule fails here
+    u, uh = _frame(basis, config.n_atoms)
+    framed = state.amplitudes if u is None else uh @ state.amplitudes @ uh.T
     sub = SubSequenceRecord(basis=basis)
     for _ in range(config.max_repeats):
-        masses = weights @ (framed.real**2 + framed.imag**2).ravel()
+        masses = _branch_masses(framed, config.sign_rule)
         total = masses.sum()
         if not abs(total - 1.0) <= 1e-8 + 1e-5:  # np.isclose(total, 1, atol=1e-8)
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
@@ -271,17 +279,12 @@ def repeat_until_success(
         framed = masks[i] * framed / math.sqrt(masses[i])
         if delta == 0:
             break
-        if state_dependent_angle:
-            theta = optimized_angle(delta, config.n_atoms, TwoModeState(fock_basis, framed))
-            if theta != 0.0:  # exp(+i S^y theta / 2) on ensemble 1
-                framed = rotation_matrix(-theta, fock_basis) @ framed
-        else:
-            framed = rots[delta] @ framed
+        framed = _correct(framed, delta, config)
     else:
         sub.capped = True
     if u is not None:
         framed = u @ framed @ u.T
-    return TwoModeState(fock_basis, framed), sub
+    return TwoModeState(state.basis, framed), sub
 
 
 def run_protocol(

@@ -148,6 +148,25 @@ def test_enumeration_unknown_sign_rule_rejected():
         enumerate_tree(x_polarized_state(cfg.basis), cfg)
 
 
+def test_enumeration_unknown_angle_rule_rejected():
+    """An unknown rule fails even when no correction is ever needed."""
+    cfg = ProtocolConfig(n_atoms=3, angle_rule="bogus")
+    with pytest.raises(ValueError):
+        enumerate_tree(mmes_state(cfg.basis), cfg)
+
+
+def test_enumeration_terminal_count_without_storage():
+    """With nothing stored no terminal is held, and the count is unchanged."""
+    cfg = ProtocolConfig(n_atoms=3, max_repeats=2, max_rounds=2, prune_threshold=1e-3)
+    initial = x_polarized_state(cfg.basis)
+    stored = enumerate_tree(initial, cfg, store_states=True)
+    bare = enumerate_tree(initial, cfg, store_states=False, store_paths=False)
+    assert stored.terminal_count == len(stored.terminals) > 10
+    assert bare.terminals == []
+    assert bare.terminal_count == stored.terminal_count
+    assert bare.terminal_mass == stored.terminal_mass
+
+
 def test_enumeration_counts_expanded_nodes():
     """The MMES input opens every sequence with Delta = 0: one node per measurement."""
     cfg = ProtocolConfig(n_atoms=4, max_rounds=2)

@@ -22,7 +22,14 @@ from qndprep import (
     sample_outcome,
     x_polarized_state,
 )
-from qndprep.measurement import basis_unitary, branch_masks, to_measurement_frame
+from qndprep.measurement import (
+    _branch_masses,
+    _frame,
+    basis_unitary,
+    branch_masks,
+    from_measurement_frame,
+    to_measurement_frame,
+)
 
 
 def random_state(n, seed):
@@ -252,7 +259,8 @@ def test_signed_band_squared_is_band_projector():
 def test_branch_masks_match_index_construction(n, sign_rule):
     """Each mask is Pi_Delta written cell by cell: k2 = k1 + Delta as-is and
     k2 = k1 - Delta with the branch sign, both times sqrt(1 / #signs);
-    ``projector_apply`` is the unweighted mask times psi."""
+    ``projector_apply`` is the unweighted mask times psi, and ``_branch_masses``
+    the Born mass of each weighted mask, in the same order."""
     signs = {"split": (+1, -1), "plus": (+1,), "minus": (-1,)}[sign_rule]
     expected = [(0, +1)] + [(delta, s) for delta in range(1, n + 1) for s in signs]
     branches, masks = branch_masks(n, sign_rule)
@@ -260,15 +268,24 @@ def test_branch_masks_match_index_construction(n, sign_rule):
     assert masks.shape == (len(expected), n + 1, n + 1)
     assert not masks.flags.writeable
     state = random_state(n, seed=41)
+    prob = state.probability_grid()
+    masses = _branch_masses(state.amplitudes, sign_rule)
+    assert masses.shape == (len(expected),)
     weight = np.sqrt(1.0 / len(signs))
-    for (delta, sign), mask in zip(expected, masks):
+    k = np.arange(n + 1)
+    for (delta, sign), mask, mass in zip(expected, masks, masses):
         pi = np.zeros((n + 1, n + 1))
-        for k in range(n + 1 - delta):
-            pi[k, k + delta] = 1.0
-            pi[k + delta, k] = sign
+        for k1 in range(n + 1 - delta):
+            pi[k1, k1 + delta] = 1.0
+            pi[k1 + delta, k1] = sign
         assert np.array_equal(mask, pi if delta == 0 else weight * pi)
         projected = projector_apply(state, ProjectorSpec(delta, sign, "z"))
         assert np.array_equal(projected.amplitudes, pi * state.amplitudes)
+        want = np.sum(prob * (pi if delta == 0 else weight * pi) ** 2)
+        assert mass == pytest.approx(want, rel=1e-14, abs=0)
+        if sign_rule == "plus":  # the |k1 - k2| = Delta band mass the POVM reads
+            band = np.abs(k[:, None] - k[None, :]) == delta
+            assert mass == pytest.approx(prob[band].sum(), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("basis", ["x", (0.9, 0.3)])
@@ -301,6 +318,18 @@ def test_measurement_frame_round_trip():
     u = basis_unitary("x", state.basis)
     back = u @ in_frame.amplitudes @ u.T
     assert np.max(np.abs(direct.amplitudes - back)) < 1e-12
+    # the cached (U, U^dagger) pair is read-only, and to -> from is the identity
+    assert _frame("z", 3) == (None, None)
+    for basis in ("z", "x", (0.7, 0.3)):
+        u, uh = _frame(basis, 3)
+        if u is not None:
+            assert np.array_equal(u, basis_unitary(basis, state.basis))
+            assert np.array_equal(uh, u.conj().T)
+            for m in (u, uh, uh.T):
+                assert not m.flags.writeable
+        there = to_measurement_frame(state, basis)
+        round_trip = from_measurement_frame(there, basis)
+        assert np.max(np.abs(round_trip.amplitudes - state.amplitudes)) < 1e-14
 
 
 # -------------------------------------------------- outcome probabilities

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,5 +417,17 @@ def test_traced_bindings_exist():
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for module, attr, _ in tracing.layer_targets(qndprep):
+    targets = tracing.layer_targets(qndprep)
+    for module, attr, _ in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    # every binding kept only for the tracer names a (module, attr) it patches
+    patched = {(module.__name__, attr) for module, attr, _ in targets}
+    tag = "# noqa: F401  perfbench/tracing.py wraps this binding"
+    tagged = []
+    for path in sorted(Path(qndprep.__file__).parent.glob("*.py")):
+        for line in path.read_text().splitlines():
+            if tag in line:
+                name = line.split("#")[0].strip().rstrip(",").split()[-1]
+                tagged.append((f"qndprep.{path.stem}", name))
+    assert tagged
+    assert set(tagged) <= patched, sorted(set(tagged) - patched)
