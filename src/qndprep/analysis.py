@@ -19,12 +19,13 @@ Three engines compute the same statistics:
   not resolving individual outcome paths.  Inside a repeat-until-success
   sequence the ensemble lives in the measurement frame as signed-band
   blocks, indexed by the offset k2 - k1, k2 and k2', so one
-  measure-and-correct step costs O(d^4) with d = N + 1; the O(d^5) frame
-  changes of the full (d, d, d, d) tensor happen only at sequence
-  boundaries.  Its frames come from ``measurement._frame``, its band sign
-  from ``measurement.branch_masks`` and its rotations from
-  ``protocol.correction_stack``.  N = 30 with L = 25 and three rounds takes
-  seconds.
+  measure-and-correct step costs O(d^4) with d = N + 1.  Only the whole
+  ensemble is a full (d, d, d, d) tensor, framed in and out once per
+  sequence in O(d^5); the labels ``first`` and ``clean`` are d x d band-0
+  blocks handed between frames by v = U_b^dagger U_{b-1}.  Its frames come
+  from ``measurement._frame``, its band sign from ``measurement.branch_masks``
+  and its rotations from ``protocol.correction_stack``.  N = 30 with L = 25
+  and three rounds takes about 1.8 s on one core with one BLAS thread.
 * ``monte_carlo_estimates`` cross-checks both by Born-rule sampling of
   ``run_protocol`` trajectories.  Each repeat-until-success sequence runs in
   its measurement frame with the tree's three helpers, one uniform draw per
@@ -83,7 +84,6 @@ class CorrectionSpec:
 
     delta: int
     basis: BasisSpec = "z"
-    theta: Optional[float] = None  # defaults to protocol.adaptive_angle
 
 
 OperatorSpec = Union[ProjectorSpec, CorrectionSpec]
@@ -153,7 +153,7 @@ def fock_grid(
         if isinstance(op, ProjectorSpec):
             state = projector_apply(state, op)
         elif isinstance(op, CorrectionSpec):
-            state = apply_correction(state, op.delta, op.basis, op.theta)
+            state = apply_correction(state, op.delta, op.basis)
         else:
             raise TypeError(f"unsupported operator spec {op!r}")
     return to_measurement_frame(state, grid_basis).probability_grid()
@@ -362,17 +362,20 @@ def channel_statistics(
     """Exact protocol statistics via branch-ensemble (density matrix) evolution.
 
     Sequence bookkeeping (termination at Delta = 0, the repeat cap) is a
-    classical label tracked as separate components.  Only outcome-indexed
-    angle rules are supported: a state-dependent rule is not linear.
+    classical label on parts of the ensemble.  Only outcome-indexed angle
+    rules are supported: a state-dependent rule is not linear.
 
-    Within a sequence each component is held in the measurement frame as
+    Within a sequence the ensemble is held in the measurement frame as
     signed-band blocks, s = k2 - k1: ``blocks[0, s, k2, k2']`` is
     rho[k2-s, k2, k2'-s, k2'] and, under ``plus``/``minus``,
     ``blocks[1, s, k2, k2']`` is sign * rho[k2-s, k2, k2'+s, k2'].  ``split``
     has no such coherence: (m+ m+^T + m- m-^T) / 2 = A A^T + B B^T.  The
     correction acts on ensemble 1 and keeps k2, so "drop Delta = 0, correct,
-    measure" maps blocks to blocks in O(d^4), d = N + 1; full (d, d, d, d)
-    tensors and their O(d^5) frame changes appear only between sequences.
+    measure" maps blocks to blocks in O(d^4), d = N + 1.  Only the whole
+    ensemble is a full (d, d, d, d) tensor, framed in and out once per
+    sequence in O(d^5).  A labelled part ends its sequence at Delta = 0, so
+    it is a d x d band-0 block rho[k, k, l, l], which v = U_b^dagger U_{b-1}
+    hands to the next frame.
     """
     if initial.n_atoms != config.n_atoms:
         raise ValueError("initial state and config disagree on n_atoms")
@@ -427,49 +430,45 @@ def channel_statistics(
     round_first_success = np.zeros(config.max_rounds)
     round_fidelity = np.zeros(config.max_rounds)
 
-    def run_sequence(comps: List[np.ndarray], r: int, b: int) -> List[np.ndarray]:
-        """One repeat-until-success sequence on lab-frame [total] or [first,
-        clean, total] (emptied once measured); returns the new [first, clean,
-        total].  ``total``, the whole ensemble, sets the step marginals."""
-        u, uh = _frame(config.basis_order[b], n)
-        blocks = np.array([
-            [f[k1[:, :, None], k[:, None], kc[:, None, :], k] * w for kc, w in pairs]
-            for f in (_frame_change(c, uh) for c in comps)
-        ])
-        comps.clear()
-        first_zero, blocks = blocks[0, 0, n], blocks[-2:]
-        zero = np.zeros_like(blocks[:, 0, n])
-        for j in range(config.max_repeats):
-            if j:  # drop band 0, correct every other band, measure again
-                prev, blocks = blocks, np.zeros_like(blocks)
-                for kin, s_idx, ts, rows, cols, coef in terms:
-                    part = prev[:, kin, s_idx, None, None, rows, cols]
-                    blocks[:, :, ts, rows, cols] += coef * part
-            blocks[:, 1:, n] = 0.0  # band 0 has no coherence
-            zero += blocks[:, 0, n]
-            tr = np.einsum("skk->s", blocks[-1, 0]).real
-            marginals[(r, b, j)] = np.append(tr[n], tr[n + 1:] + tr[n - 1::-1])
-        capped = sum(
-            (col_a * blocks[-1, kin].transpose(1, 2, 0)[:, :, None]) @ col_b[kin]
-            for kin in range(kinds)
-        ).transpose(2, 0, 3, 1)
-        out = []
-        for i, zero_block in enumerate((first_zero, zero[0], zero[-1])):
-            part = capped if i == 2 else np.zeros((d, d, d, d), complex)
-            np.einsum("kkll->kl", part)[...] += zero_block  # band 0 at rho[k, k, l, l]
-            out.append(_frame_change(part, u))
-        return out
-
     rho = np.einsum("ij,kl->ijkl", initial.amplitudes, initial.amplitudes.conj())
     for r in range(config.max_rounds):
         # first: every sequence so far opened with Delta = 0; clean: none hit
-        # the repeat cap; total: the whole ensemble
-        comps = [rho]
-        for b in range(len(config.basis_order)):
-            comps = run_sequence(comps, r, b)
-        first, clean, rho = comps
-        round_first_success[r] = np.einsum("ijij->", first).real
-        round_success[r] = np.einsum("ijij->", clean).real
+        # the repeat cap.  Band-0 blocks in the last sequence's frame; None: all of rho
+        first = clean = u = None
+        for b, basis in enumerate(config.basis_order):
+            u_prev, (u, uh) = u, _frame(basis, n)
+            rho = _frame_change(rho, uh)
+            comps = [[rho[k1[:, :, None], k[:, None], kc[:, None, :], k] * w for kc, w in pairs]]
+            del rho  # rebuilt from the blocks at the end of the sequence
+            if first is None:
+                first = comps[0][0][n]
+            else:
+                v = (np.eye(d) if uh is None else uh) @ (np.eye(d) if u_prev is None else u_prev)
+                a = v[k1] * v  # a[s, k2, m] = v[k2 - s, m] v[k2, m]: |m, m> on band s
+                ah = a.conj().transpose(0, 2, 1)
+                first = a[n] @ first @ ah[n]  # band 0: what opens here with Delta = 0
+                comps.insert(0, [(a @ clean @ g) * w for g, (_, w) in zip((ah, ah[::-1]), pairs)])
+            blocks = np.array(comps)
+            zero = np.zeros_like(blocks[:, 0, n])
+            for j in range(config.max_repeats):
+                if j:  # drop band 0, correct every other band, measure again
+                    prev, blocks = blocks, np.zeros_like(blocks)
+                    for kin, s_idx, ts, rows, cols, coef in terms:
+                        part = prev[:, kin, s_idx, None, None, rows, cols]
+                        blocks[:, :, ts, rows, cols] += coef * part
+                blocks[:, 1:, n] = 0.0  # band 0 has no coherence
+                zero += blocks[:, 0, n]
+                tr = np.einsum("skk->s", blocks[-1, 0]).real
+                marginals[(r, b, j)] = np.append(tr[n], tr[n + 1:] + tr[n - 1::-1])
+            clean = zero[0]
+            rho = sum(  # the corrected cap part, then band 0 at rho[k, k, l, l]
+                (col_a * blocks[-1, kin].transpose(1, 2, 0)[:, :, None]) @ col_b[kin]
+                for kin in range(kinds)
+            ).transpose(2, 0, 3, 1)
+            np.einsum("kkll->kl", rho)[...] += zero[-1]
+            rho = _frame_change(rho, u)
+        round_first_success[r] = np.trace(first).real
+        round_success[r] = np.trace(clean).real
         round_fidelity[r] = np.einsum("kkll->", rho).real / d  # <MMES|rho|MMES>
 
     return ChannelResult(

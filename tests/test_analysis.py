@@ -1,5 +1,6 @@
 """Tests for exact enumeration, channel evolution and Monte Carlo analysis."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -280,28 +281,43 @@ def test_enumeration_initial_fidelity():
 
 
 @pytest.mark.parametrize(
-    "n,repeats,rounds,sign_rule",
+    "n,repeats,rounds,sign_rule,basis_order,seed",
     [
-        (1, 3, 2, "split"),
-        (2, 2, 2, "split"),
-        (2, 3, 2, "minus"),
-        (2, 2, 2, "plus"),
-        (3, 2, 1, "split"),
-        (4, 3, 1, "minus"),
-        (4, 3, 1, "plus"),
+        pytest.param(1, 3, 2, "split", ("z", "x"), None, id="1-3-2-split"),
+        pytest.param(2, 2, 2, "split", ("z", "x"), None, id="2-2-2-split"),
+        pytest.param(2, 3, 2, "minus", ("z", "x"), None, id="2-3-2-minus"),
+        pytest.param(2, 2, 2, "plus", ("z", "x"), None, id="2-2-2-plus"),
+        pytest.param(3, 2, 1, "split", ("z", "x"), None, id="3-2-1-split"),
+        pytest.param(4, 3, 1, "minus", ("z", "x"), None, id="4-3-1-minus"),
+        pytest.param(4, 3, 1, "plus", ("z", "x"), None, id="4-3-1-plus"),
+        pytest.param(2, 2, 1, "split", ("x", "z", "x"), None, id="2-2-1-split-xzx"),
+        pytest.param(2, 2, 3, "split", ("z",), None, id="2-2-3-split-z"),
+        pytest.param(2, 2, 2, "split", ((0.4, 1.1), "x"), 7, id="2-2-2-split-tilted,x-random"),
+        pytest.param(3, 2, 2, "minus", ("z", (0.7, 0.3)), 11, id="3-2-2-minus-z,tilted-random"),
     ],
 )
-def test_channel_matches_unpruned_tree(n, repeats, rounds, sign_rule):
-    """Density-matrix evolution agrees with exhaustive path enumeration."""
+def test_channel_matches_unpruned_tree(n, repeats, rounds, sign_rule, basis_order, seed):
+    """Density-matrix evolution agrees with exhaustive path enumeration.
+
+    A seeded random complex input is neither real nor k1 <-> k2 symmetric,
+    unlike the x-polarized one, so a transposed or misconjugated hand-off
+    of the sequence labels between frames shows on it.
+    """
     cfg = ProtocolConfig(
         n_atoms=n,
         max_repeats=repeats,
         max_rounds=rounds,
         sign_rule=sign_rule,
+        basis_order=basis_order,
         prune_threshold=0.0,
         node_cap=50_000_000,
     )
-    assert_channel_matches_tree(cfg)
+    initial = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+        initial = TwoModeState(cfg.basis, amps).normalized()
+    assert_channel_matches_tree(cfg, initial)
 
 
 def test_channel_matches_tree_tilted_basis_callable_angle():
@@ -318,8 +334,9 @@ def test_channel_matches_tree_tilted_basis_callable_angle():
     assert_channel_matches_tree(cfg)
 
 
-def assert_channel_matches_tree(cfg):
-    initial = x_polarized_state(cfg.basis)
+def assert_channel_matches_tree(cfg, initial=None):
+    if initial is None:
+        initial = x_polarized_state(cfg.basis)
     tree = enumerate_tree(initial, cfg, store_paths=False)
     chan = channel_statistics(initial, cfg)
     assert tree.accounted_mass() == pytest.approx(1.0, abs=1e-10)
@@ -331,6 +348,24 @@ def assert_channel_matches_tree(cfg):
     assert np.allclose(tree.round_fidelity, chan.round_fidelity, atol=1e-10)
     for key, table in tree.step_marginals.items():
         assert np.allclose(table, chan.step_marginals[key], atol=1e-10)
+
+
+def test_channel_peak_memory():
+    """Only the whole ensemble is a (d, d, d, d) tensor, not the sequence
+    labels.  The bound sits between the about 5.5 such tensors that N = 20
+    peaks at and the 8.9 that full-tensor labels take."""
+    cfg = ProtocolConfig(n_atoms=20, max_repeats=3, max_rounds=1)
+    initial = x_polarized_state(cfg.basis)
+    channel_statistics(initial, cfg)  # fill the frame and correction caches
+    tracemalloc.start()
+    try:
+        channel_statistics(initial, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tensors = peak / ((cfg.n_atoms + 1) ** 4 * 16)
+    print(f"channel peak at N=20: {tensors:.2f} (d,d,d,d) complex tensors")
+    assert tensors <= 7.5
 
 
 def test_channel_mmes_is_fixed_point():
