@@ -7,6 +7,9 @@ Three engines compute the same statistics:
   squared norms are the branch probabilities.  It shares the sampler's
   frame (``measurement._frame``), branch masses
   (``measurement._branch_masses``) and correction (``protocol._correct``).
+  A child stays in the frame it was measured in until v = U_dst^dagger U_src
+  hands it to the next basis; children that end the run are never built,
+  their fidelities are read off the framed parent through a weight stack.
   Branch mass below the pruning threshold is dropped but tallied, so
   terminal + pruned + unexplored mass always accounts for the full unit of
   probability.  Exact for small systems; at N = 10 the tree fragments
@@ -36,6 +39,7 @@ Three engines compute the same statistics:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -161,13 +165,45 @@ def fock_grid(
 
 @dataclass
 class _LiveNode:
-    amps: np.ndarray  # unnormalized, lab frame
+    amps: np.ndarray  # unnormalized, in the frame of ``frame``
+    frame: BasisSpec  # the basis whose measurement produced it; the root is in z, the lab
     step: StepKey  # the (round, basis, repeat) this node measures next
     first_ok: bool  # every sequence of this round so far opened with Delta = 0
     round_capped: bool  # a sequence of this round ended at max_repeats
     capped: bool  # a sequence of any round ended at max_repeats
     converged_at: Optional[int]  # 1-based first round with first_ok at its end
     path: Tuple[Tuple[int, int, int, int], ...]
+
+
+@lru_cache(maxsize=32)
+def _hand_off(src: BasisSpec, dst: BasisSpec, n_atoms: int) -> Optional[np.ndarray]:
+    """Cached read-only v = U_dst^dagger U_src: amplitudes framed in ``src``
+    enter the frame of ``dst`` as v psi v^T.  None when the frames agree."""
+    if src == dst:
+        return None
+    eye = np.eye(n_atoms + 1)
+    u, uh = _frame(src, n_atoms)[0], _frame(dst, n_atoms)[1]
+    v = (eye if uh is None else uh) @ (eye if u is None else u)
+    v.setflags(write=False)
+    return v
+
+
+@lru_cache(maxsize=32)
+def _lab_traces(basis: BasisSpec, n_atoms: int, sign_rule, angle_rule):
+    """Cached read-only lab-frame trace weights (m, w) of grids framed in ``basis``:
+    tr(U psi U^T) = m . psi.ravel() with m = (U^T U).ravel(), and that of the
+    corrected child R[Delta_i] (masks[i] * psi) is w[i] . psi.ravel(), since
+    sum (R (mask o psi)) o M = sum mask o psi o (R^T M).  Under ``optimized``
+    only m applies."""
+    u, _ = _frame(basis, n_atoms)
+    m = np.eye(n_atoms + 1) if u is None else u.T @ u
+    branches, masks = branch_masks(n_atoms, sign_rule)
+    rots = correction_stack(n_atoms, angle_rule)[[delta for delta, _ in branches]]
+    w = (masks * (rots.transpose(0, 2, 1) @ m)).reshape(len(branches), -1)
+    m = m.ravel()
+    for a in (m, w):
+        a.setflags(write=False)
+    return m, w
 
 
 def enumerate_tree(
@@ -179,10 +215,13 @@ def enumerate_tree(
     """Exact expansion of the protocol's stochastic outcome tree.
 
     Depth-first, so live memory stays proportional to tree depth.  A node
-    enters its measurement frame once; ``_branch_masses`` gives the masses
-    of all its (Delta, sign) children, and only those that survive pruning
-    are built from the ``branch_masks`` stack, corrected by ``_correct`` and
-    changed back, each step batched over them.
+    stays in the frame it was measured in and enters its own basis through
+    ``_hand_off``.  ``_branch_masses`` gives the masses of all its (Delta,
+    sign) children, and only those that survive pruning are built from the
+    ``branch_masks`` stack and corrected by ``_correct``, batched.  Fidelities
+    are lab-frame traces (``_lab_traces``); a node whose children all end the
+    run reads them off its framed grid and builds no children, unless states
+    are stored (they go back to the lab frame) or the rule is ``optimized``.
 
     A child's next step and flags depend only on the node's step and on
     whether its Delta is 0, so each node works them out once per case.
@@ -198,6 +237,7 @@ def enumerate_tree(
     n = config.n_atoms
     d = n + 1
     n_bases = len(config.basis_order)
+    build_leaves = store_states or config.angle_rule == "optimized"
 
     marginals: Dict[StepKey, np.ndarray] = {}
     round_success = [0.0] * config.max_rounds
@@ -215,18 +255,19 @@ def enumerate_tree(
     deltas = np.array([delta for delta, _ in branches])
 
     root = np.array(initial.amplitudes, dtype=complex)
-    stack = [_LiveNode(root, (0, 0, 0), True, False, False, None, ())]
+    stack = [_LiveNode(root, "z", (0, 0, 0), True, False, False, None, ())]
     while stack:
         node = stack.pop()
         if expansions >= config.node_cap:
             node_cap_hit = True
-            unexplored_mass += float(np.sum(np.abs(node.amps) ** 2))
+            unexplored_mass += float(np.sum(np.abs(node.amps) ** 2))  # frame-invariant
             continue
         expansions += 1
 
         r, b, j = node.step
-        u, uh = _frame(config.basis_order[b], n)
-        framed = node.amps if u is None else uh @ node.amps @ uh.T
+        basis = config.basis_order[b]
+        v = _hand_off(node.frame, basis, n)
+        framed = node.amps if v is None else v @ node.amps @ v.T
         masses = _branch_masses(framed, config.sign_rule)
         if node.step not in marginals:
             marginals[node.step] = np.zeros(d)
@@ -236,15 +277,25 @@ def enumerate_tree(
         idx = np.flatnonzero(keep).tolist()
         if not idx:
             continue
-        kids = _correct(masks[idx] * framed, deltas[idx], config)
-        if u is not None:
-            kids = u @ kids @ u.T
-        traces = np.trace(kids, axis1=1, axis2=2).tolist()
         masses = masses.tolist()
 
         # where the children go, by whether their Delta is 0: a sequence ends
         # at Delta = 0 or at the repeat cap, a round after its last basis
         cap = j + 1 >= config.max_repeats
+        boundary = b + 1 == n_bases
+        ends_run = boundary and r + 1 == config.max_rounds  # Delta = 0 children end the run
+        if boundary:
+            m, w = _lab_traces(basis, n, config.sign_rule, config.angle_rule)
+        if ends_run and cap and not build_leaves:  # every child ends the run
+            kids, traces = None, (w @ framed.ravel())[idx].tolist()
+        else:
+            kids = _correct(masks[idx] * framed, deltas[idx], config)
+            traces = (kids.reshape(len(idx), -1) @ m).tolist() if boundary else None
+        if store_states and ends_run:
+            # the children that end the run lead: all at the cap, else branch 0 (Delta = 0)
+            ends = len(idx) if cap else int(idx[0] == 0)
+            u, _ = _frame(basis, n)
+            states = kids[:ends] if u is None else u @ kids[:ends] @ u.T
         moves = {
             True: ((r, b + 1, 0), node.first_ok, node.round_capped, node.capped),
             False: (
@@ -262,7 +313,7 @@ def enumerate_tree(
             converged_at = node.converged_at
             path = node.path + ((r, b, delta, sign),) if store_paths else node.path
             if step[1] == n_bases:  # round boundary
-                # |<MMES|psi_tilde>|^2 = |sum_k psi(k,k)|^2 / (N+1)
+                # |<MMES|psi_tilde>|^2 = |sum_k psi(k,k)|^2 / (N+1), in the lab frame
                 fid = abs(traces[p]) ** 2 / d
                 round_fidelity[r] += fid
                 if not round_capped:
@@ -284,9 +335,9 @@ def enumerate_tree(
                                 path=path,
                                 capped=capped,
                                 converged_at=converged_at,
-                                # a copy, so the node's child stack is not kept alive
+                                # a copy, so the node's terminal stack is not kept alive
                                 state=(
-                                    TwoModeState(initial.basis, kids[p].copy())
+                                    TwoModeState(initial.basis, states[p].copy())
                                     if store_states
                                     else None
                                 ),
@@ -294,7 +345,9 @@ def enumerate_tree(
                         )
                     continue
                 step, first_ok, round_capped = (r + 1, 0, 0), True, False
-            child = _LiveNode(kids[p], step, first_ok, round_capped, capped, converged_at, path)
+            child = _LiveNode(
+                kids[p], basis, step, first_ok, round_capped, capped, converged_at, path
+            )
             live.append((mass, child))
         # ascending mass: the heaviest child is popped first
         live.sort(key=lambda item: item[0])

@@ -247,6 +247,8 @@ def cmd_enumerate(args) -> int:
         "pruned_mass": result.pruned_mass,
         "unexplored_mass": result.unexplored_mass,
         "node_cap_hit": result.node_cap_hit,
+        # |1 - accounted mass|: terminal + pruned + unexplored (tree), total (channel)
+        "mass_residual": abs(1.0 - result.accounted_mass()),
     }
     if args.engine == "tree":
         extra["terminal_mass"] = result.terminal_mass

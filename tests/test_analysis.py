@@ -25,8 +25,10 @@ from qndprep import (
     success_probability,
     x_polarized_state,
 )
-from qndprep.measurement import ProjectorSpec
-from qndprep.protocol import resolve_angle
+import qndprep.analysis as analysis_module
+from qndprep.analysis import _hand_off, _lab_traces
+from qndprep.measurement import ProjectorSpec, _frame, branch_masks
+from qndprep.protocol import correction_stack, resolve_angle
 
 
 # -------------------------------------------------------------- fock_grid
@@ -214,7 +216,7 @@ def replay_path(initial, cfg, path):
     return state
 
 
-@pytest.mark.parametrize(
+REPLAY_CASES = pytest.mark.parametrize(
     "extra",
     [
         {},
@@ -227,6 +229,9 @@ def replay_path(initial, cfg, path):
     ],
     ids=["split", "minus", "tilted-callable", "optimized"],
 )
+
+
+@REPLAY_CASES
 def test_enumeration_terminals_replay_their_paths(extra):
     """Each stored terminal state equals its path replayed through
     ``projector_apply`` and ``apply_correction``, and its mass is the replay's norm."""
@@ -246,6 +251,135 @@ def test_enumeration_terminals_replay_their_paths(extra):
     # both flags are exercised, so the comparison cannot pass vacuously
     assert any(term.capped for term in res.terminals)
     assert any(term.converged_at is not None for term in res.terminals)
+
+
+def random_state(basis, seed):
+    """A seeded random complex input: neither real nor k1 <-> k2 symmetric."""
+    rng = np.random.default_rng(seed)
+    shape = (basis.dim, basis.dim)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return TwoModeState(basis, amps).normalized()
+
+
+def assert_same_tree(bare, built):
+    """Identical paths, flags and masses; fidelities and round arrays to 1e-14."""
+    assert [t.path for t in bare.terminals] == [t.path for t in built.terminals]
+    for a, b in zip(bare.terminals, built.terminals):
+        assert (a.mass, a.capped, a.converged_at) == (b.mass, b.capped, b.converged_at)
+        assert a.fidelity == pytest.approx(b.fidelity, abs=1e-14)
+    for name in ("terminal_mass", "pruned_mass", "capped_mass", "terminal_count", "node_cap_hit"):
+        assert getattr(bare, name) == getattr(built, name)
+    for name in ("round_success", "round_first_success", "round_fidelity"):
+        assert np.max(np.abs(getattr(bare, name) - getattr(built, name))) < 1e-14
+    assert bare.step_marginals.keys() == built.step_marginals.keys()
+    for key, table in bare.step_marginals.items():
+        assert np.array_equal(table, built.step_marginals[key])
+
+
+@REPLAY_CASES
+def test_enumeration_unbuilt_leaves_match_built_children(extra):
+    """Without stored states a node whose children all end the run takes
+    their fidelities from ``_lab_traces``' weight stack and builds none of
+    them; storing states builds them.  Both give the same tree."""
+    kw = dict(n_atoms=3, max_repeats=2, max_rounds=2, prune_threshold=1e-3)
+    cfg = ProtocolConfig(**{**kw, **extra})
+    initial = x_polarized_state(cfg.basis)
+    bare = enumerate_tree(initial, cfg, store_states=False)
+    built = enumerate_tree(initial, cfg, store_states=True)
+    assert len(bare.terminals) > 10
+    assert_same_tree(bare, built)
+
+
+@pytest.mark.parametrize(
+    "basis_order,seed", [(("z",), 3), (("x", (0.7, 0.3)), 17)], ids=["z-only", "x,tilted"]
+)
+def test_enumeration_frame_hand_off_random_input(basis_order, seed):
+    """A complex input through one basis, and through x then a tilted basis:
+    children handed between frames give the terminals their replay gives."""
+    cfg = ProtocolConfig(
+        n_atoms=3, max_repeats=2, max_rounds=2, basis_order=basis_order, prune_threshold=1e-4
+    )
+    initial = random_state(cfg.basis, seed)
+    bare = enumerate_tree(initial, cfg, store_states=False)
+    built = enumerate_tree(initial, cfg, store_states=True)
+    assert len(bare.terminals) > 10
+    assert_same_tree(bare, built)
+    d = cfg.n_atoms + 1
+    for term in built.terminals:
+        replayed = replay_path(initial, cfg, term.path).amplitudes
+        assert np.max(np.abs(replayed - term.state.amplitudes)) < 1e-12
+        fidelity = abs(np.trace(replayed)) ** 2 / d / term.mass
+        assert term.fidelity == pytest.approx(fidelity, abs=1e-12)
+
+
+TRACE_BASES = ["z", "x", (0.7, 0.3)]
+TRACE_RULES = {"line": "line", "callable": lambda delta, n: 0.8 * np.pi * delta / n + 0.1}
+
+
+@pytest.mark.parametrize("sign_rule", ["split", "plus", "minus"])
+@pytest.mark.parametrize("basis", TRACE_BASES, ids=str)
+@pytest.mark.parametrize("rule", list(TRACE_RULES))
+def test_lab_traces_match_lab_frame_construction(sign_rule, basis, rule):
+    """w[i] . psi is the lab trace of u R[Delta_i] (masks[i] * psi) u^T, and
+    m . psi that of u psi u^T, for a complex grid framed in ``basis``."""
+    n = 4
+    angle_rule = TRACE_RULES[rule]
+    m, w = _lab_traces(basis, n, sign_rule, angle_rule)
+    assert not (m.flags.writeable or w.flags.writeable)
+    branches, masks = branch_masks(n, sign_rule)
+    rots = correction_stack(n, angle_rule)
+    u = _frame(basis, n)[0]
+    u = np.eye(n + 1) if u is None else u
+    framed = random_state(FockBasis(n), 5).amplitudes
+    assert m @ framed.ravel() == pytest.approx(np.trace(u @ framed @ u.T), abs=1e-14)
+    for i, (delta, _) in enumerate(branches):
+        lab = u @ rots[delta] @ (masks[i] * framed) @ u.T
+        assert abs(w[i] @ framed.ravel() - np.trace(lab)) < 1e-14
+
+
+@pytest.mark.parametrize("src", TRACE_BASES, ids=str)
+@pytest.mark.parametrize("dst", TRACE_BASES, ids=str)
+def test_hand_off_matches_lab_frame_construction(src, dst):
+    """v psi v^T equals psi taken to the lab frame from ``src`` and framed
+    in ``dst``; v is read-only, and None when the frames agree."""
+    n = 4
+    v = _hand_off(src, dst, n)
+    if src == dst:
+        assert v is None
+        return
+    assert not v.flags.writeable
+    eye = np.eye(n + 1)
+    u_src = _frame(src, n)[0]
+    uh_dst = _frame(dst, n)[1]
+    u_src = eye if u_src is None else u_src
+    uh_dst = eye if uh_dst is None else uh_dst
+    framed = random_state(FockBasis(n), 9).amplitudes
+    want = uh_dst @ (u_src @ framed @ u_src.T) @ uh_dst.T
+    assert np.max(np.abs(v @ framed @ v.T - want)) < 1e-14
+
+
+def test_enumeration_corrects_only_nodes_with_a_continuing_child(monkeypatch):
+    """On the N=10, L=2, one-round tree, the nodes that end the run (the
+    second x measurement) build no children: ``_correct`` runs only on the
+    others.  Storing states builds every node's children."""
+    cfg = ProtocolConfig(n_atoms=10, max_repeats=2, max_rounds=1, prune_threshold=1e-10)
+    initial = x_polarized_state(cfg.basis)
+    calls = []
+    correct = analysis_module._correct
+
+    def counted(kids, *args):
+        calls.append(len(kids))
+        return correct(kids, *args)
+
+    monkeypatch.setattr(analysis_module, "_correct", counted)
+    res = enumerate_tree(initial, cfg)
+    bare = len(calls)
+    calls.clear()
+    enumerate_tree(initial, cfg, store_states=True)
+    # a terminal of a run-ending node has two outcomes of the x sequence
+    leaf_parents = {t.path[:-1] for t in res.terminals if sum(s[1] == 1 for s in t.path) == 2}
+    assert len(calls) - bare == len(leaf_parents)
+    assert (bare, res.expanded_nodes) == (354, 6178)
 
 
 def path_flags(cfg, path):
@@ -312,11 +446,7 @@ def test_channel_matches_unpruned_tree(n, repeats, rounds, sign_rule, basis_orde
         prune_threshold=0.0,
         node_cap=50_000_000,
     )
-    initial = None
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        amps = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
-        initial = TwoModeState(cfg.basis, amps).normalized()
+    initial = None if seed is None else random_state(cfg.basis, seed)
     assert_channel_matches_tree(cfg, initial)
 
 

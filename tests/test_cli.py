@@ -287,11 +287,25 @@ def test_enumerate_tree_manifest_counts_nodes(tmp_path):
     assert run(["enumerate", *args, "--engine", "tree", "--out-dir", out]) == 0
     cfg = qndprep.ProtocolConfig(n_atoms=3, max_rounds=1, max_repeats=2)
     res = qndprep.enumerate_tree(qndprep.x_polarized_state(cfg.basis), cfg)
-    assert read_manifest(out)["expanded_nodes"] == res.expanded_nodes > 1
+    man = read_manifest(out)
+    assert man["expanded_nodes"] == res.expanded_nodes > 1
+    assert man["mass_residual"] == abs(1.0 - res.accounted_mass()) < 1e-12
 
     capped = str(tmp_path / "capped")
     run(["enumerate", *args, "--node-cap", "5", "--engine", "tree", "--out-dir", capped])
-    assert read_manifest(capped)["expanded_nodes"] == 5
+    man = read_manifest(capped)
+    assert man["expanded_nodes"] == 5
+    # the unexplored mass is accounted for, so the residual stays at rounding
+    assert 0.0 < man["unexplored_mass"] and man["mass_residual"] < 1e-12
+
+
+def test_enumerate_channel_manifest_mass_residual(tmp_path):
+    """The channel engine's manifest records |1 - total mass|."""
+    out = str(tmp_path)
+    args = ["--n-atoms", "3", "--rounds", "2", "--max-repeats", "3"]
+    assert run(["enumerate", *args, "--engine", "channel", "--out-dir", out]) == 0
+    man = read_manifest(out)
+    assert man["mass_residual"] == abs(1.0 - man["total_mass"]) < 1e-12
 
 
 def test_enumerate_node_cap_below_one_rejected(tmp_path, capsys):
