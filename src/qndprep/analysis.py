@@ -8,8 +8,9 @@ Three engines compute the same statistics:
   frame (``measurement._frame``), branch masses
   (``measurement._branch_masses``) and correction (``protocol._correct``).
   A child stays in the frame it was measured in until v = U_dst^dagger U_src
-  hands it to the next basis; children that end the run are never built,
-  their fidelities are read off the framed parent through a weight stack.
+  hands it to the next basis.  Nodes whose children all end the run are
+  expanded a run of siblings at a time, building no children: fidelities
+  are read off the framed parents through a weight stack.
   Branch mass below the pruning threshold is dropped but tallied, so
   terminal + pruned + unexplored mass always accounts for the full unit of
   probability.  Exact for small systems; at N = 10 the tree fragments
@@ -49,6 +50,7 @@ from .fock import rotation_matrix  # noqa: F401  perfbench/tracing.py wraps this
 from .measurement import (
     BasisSpec,
     ProjectorSpec,
+    _born_weights,
     _branch_masses,
     _frame,
     branch_masks,
@@ -96,7 +98,7 @@ OperatorSpec = Union[ProjectorSpec, CorrectionSpec]
 StepKey = Tuple[int, int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class SequenceTreeNode:
     """A terminal branch of the enumerated outcome tree."""
 
@@ -219,9 +221,12 @@ def enumerate_tree(
     ``_hand_off``.  ``_branch_masses`` gives the masses of all its (Delta,
     sign) children, and only those that survive pruning are built from the
     ``branch_masks`` stack and corrected by ``_correct``, batched.  Fidelities
-    are lab-frame traces (``_lab_traces``); a node whose children all end the
-    run reads them off its framed grid and builds no children, unless states
-    are stored (they go back to the lab frame) or the rule is ``optimized``.
+    are lab-frame traces (``_lab_traces``).  A node at S* (last basis, last
+    round, repeat cap) pushes nothing, so the S* nodes below it on the stack
+    are popped next anyway: they are expanded with it as one batch, cut where
+    ``config.node_cap`` would stop the pops, so the terminals, their order and
+    the node count are those of one node at a time.  The batch builds no
+    children unless states are stored (back in the lab) or under ``optimized``.
 
     A child's next step and flags depend only on the node's step and on
     whether its Delta is 0, so each node works them out once per case.
@@ -253,6 +258,9 @@ def enumerate_tree(
     terminal_count = 0
 
     deltas = np.array([delta for delta, _ in branches])
+    # S*, the step whose children all end the run: its nodes push nothing
+    last = (config.max_rounds - 1, n_bases - 1, config.max_repeats - 1)
+    tails = [(last[:2] + branch,) if store_paths else () for branch in branches]  # path tails
 
     root = np.array(initial.amplitudes, dtype=complex)
     stack = [_LiveNode(root, "z", (0, 0, 0), True, False, False, None, ())]
@@ -262,15 +270,64 @@ def enumerate_tree(
             node_cap_hit = True
             unexplored_mass += float(np.sum(np.abs(node.amps) ** 2))  # frame-invariant
             continue
-        expansions += 1
 
         r, b, j = node.step
         basis = config.basis_order[b]
         v = _hand_off(node.frame, basis, n)
-        framed = node.amps if v is None else v @ node.amps @ v.T
-        masses = _branch_masses(framed, config.sign_rule)
         if node.step not in marginals:
             marginals[node.step] = np.zeros(d)
+        if node.step == last:
+            # with the S* nodes below it, popped next anyway: one (B, d, d) batch
+            batch = [node]
+            while stack and stack[-1].step == last and expansions + len(batch) < config.node_cap:
+                batch.append(stack.pop())
+            expansions += len(batch)
+            amps = np.array([x.amps for x in batch])
+            framed = (amps if v is None else v @ amps @ v.T).reshape(len(batch), -1)
+            masses = (framed.real**2 + framed.imag**2) @ _born_weights(n, config.sign_rule).T
+            np.add.at(marginals[last], deltas, masses.sum(axis=0))
+            keep = (masses > 0.0) & (masses >= config.prune_threshold)
+            pruned_mass += float(masses[~keep].sum())
+            rows, cols = np.nonzero(keep)  # node-then-child order
+            if not len(rows):
+                continue
+            kept = masses[rows, cols]
+            m, w = _lab_traces(basis, n, config.sign_rule, config.angle_rule)
+            if build_leaves:
+                kids = _correct(masks[cols] * framed[rows].reshape(-1, d, d), deltas[cols], config)
+                traces = kids.reshape(len(rows), -1) @ m
+            else:
+                traces = (framed @ w.T)[rows, cols]
+            fids = np.abs(traces) ** 2 / d
+            zero = deltas[cols] == 0  # the only children that are not capped
+            flags = np.array([(x.first_ok, x.round_capped, x.capped) for x in batch])[rows]
+            first, capped = zero & flags[:, 0], ~zero | flags[:, 2]
+            round_fidelity[r] += float(fids.sum())
+            round_success[r] += float(kept[zero & ~flags[:, 1]].sum())
+            round_first_success[r] += float(kept[first].sum())
+            terminal_mass += float(kept.sum())
+            capped_mass += float(kept[capped].sum())
+            terminal_count += len(rows)
+            if not (store_states or store_paths):
+                continue
+            states = [None] * len(rows)
+            if store_states:
+                u, _ = _frame(basis, n)
+                lab = kids if u is None else u @ kids @ u.T
+                # copies, so the batch's terminal stack is not kept alive
+                states = [TwoModeState(initial.basis, a.copy()) for a in lab]
+            for i, c, mass, fid, cap, ok, state in zip(
+                rows.tolist(), cols.tolist(), kept.tolist(), (fids / kept).tolist(),
+                capped.tolist(), first.tolist(), states,
+            ):
+                x = batch[i]
+                path, converged_at = x.path + tails[c], x.converged_at or (r + 1 if ok else None)
+                terminals.append(SequenceTreeNode(mass, fid, path, cap, converged_at, state))
+            continue
+
+        expansions += 1
+        framed = node.amps if v is None else v @ node.amps @ v.T
+        masses = _branch_masses(framed, config.sign_rule)
         np.add.at(marginals[node.step], deltas, masses)  # in child order
         keep = (masses > 0.0) & (masses >= config.prune_threshold)
         pruned_mass += float(masses[~keep].sum())
@@ -284,18 +341,13 @@ def enumerate_tree(
         cap = j + 1 >= config.max_repeats
         boundary = b + 1 == n_bases
         ends_run = boundary and r + 1 == config.max_rounds  # Delta = 0 children end the run
+        kids = _correct(masks[idx] * framed, deltas[idx], config)
         if boundary:
-            m, w = _lab_traces(basis, n, config.sign_rule, config.angle_rule)
-        if ends_run and cap and not build_leaves:  # every child ends the run
-            kids, traces = None, (w @ framed.ravel())[idx].tolist()
-        else:
-            kids = _correct(masks[idx] * framed, deltas[idx], config)
-            traces = (kids.reshape(len(idx), -1) @ m).tolist() if boundary else None
-        if store_states and ends_run:
-            # the children that end the run lead: all at the cap, else branch 0 (Delta = 0)
-            ends = len(idx) if cap else int(idx[0] == 0)
+            m, _ = _lab_traces(basis, n, config.sign_rule, config.angle_rule)
+            traces = (kids.reshape(len(idx), -1) @ m).tolist()
+        if store_states and ends_run:  # off S*, only branch 0 (Delta = 0) ends the run
             u, _ = _frame(basis, n)
-            states = kids[:ends] if u is None else u @ kids[:ends] @ u.T
+            states = kids[:1] if u is None else u @ kids[:1] @ u.T
         moves = {
             True: ((r, b + 1, 0), node.first_ok, node.round_capped, node.capped),
             False: (
@@ -328,20 +380,11 @@ def enumerate_tree(
                     if capped:
                         capped_mass += mass
                     if store_states or store_paths:
+                        state = None
+                        if store_states:  # a copy, so the node's terminal stack is not kept alive
+                            state = TwoModeState(initial.basis, states[p].copy())
                         terminals.append(
-                            SequenceTreeNode(
-                                mass=mass,
-                                fidelity=fid / mass,
-                                path=path,
-                                capped=capped,
-                                converged_at=converged_at,
-                                # a copy, so the node's terminal stack is not kept alive
-                                state=(
-                                    TwoModeState(initial.basis, states[p].copy())
-                                    if store_states
-                                    else None
-                                ),
-                            )
+                            SequenceTreeNode(mass, fid / mass, path, capped, converged_at, state)
                         )
                     continue
                 step, first_ok, round_capped = (r + 1, 0, 0), True, False
@@ -487,16 +530,17 @@ def channel_statistics(
     for r in range(config.max_rounds):
         # first: every sequence so far opened with Delta = 0; clean: none hit
         # the repeat cap.  Band-0 blocks in the last sequence's frame; None: all of rho
-        first = clean = u = None
+        first = clean = None
         for b, basis in enumerate(config.basis_order):
-            u_prev, (u, uh) = u, _frame(basis, n)
+            u, uh = _frame(basis, n)
             rho = _frame_change(rho, uh)
             comps = [[rho[k1[:, :, None], k[:, None], kc[:, None, :], k] * w for kc, w in pairs]]
             del rho  # rebuilt from the blocks at the end of the sequence
             if first is None:
                 first = comps[0][0][n]
             else:
-                v = (np.eye(d) if uh is None else uh) @ (np.eye(d) if u_prev is None else u_prev)
+                v = _hand_off(config.basis_order[b - 1], basis, n)
+                v = np.eye(d) if v is None else v
                 a = v[k1] * v  # a[s, k2, m] = v[k2 - s, m] v[k2, m]: |m, m> on band s
                 ah = a.conj().transpose(0, 2, 1)
                 first = a[n] @ first @ ah[n]  # band 0: what opens here with Delta = 0

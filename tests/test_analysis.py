@@ -226,8 +226,11 @@ REPLAY_CASES = pytest.mark.parametrize(
             "angle_rule": lambda delta, n: 0.8 * np.pi * delta / n + 0.1,
         },
         {"angle_rule": "optimized", "max_rounds": 1},
+        # every node of the last x measurement ends the run and was handed
+        # over from z; some end it converged
+        {"max_repeats": 1},
     ],
-    ids=["split", "minus", "tilted-callable", "optimized"],
+    ids=["split", "minus", "tilted-callable", "optimized", "one-repeat"],
 )
 
 
@@ -361,7 +364,9 @@ def test_hand_off_matches_lab_frame_construction(src, dst):
 def test_enumeration_corrects_only_nodes_with_a_continuing_child(monkeypatch):
     """On the N=10, L=2, one-round tree, the nodes that end the run (the
     second x measurement) build no children: ``_correct`` runs only on the
-    others.  Storing states builds every node's children."""
+    others.  Storing states builds the kept children of each run of
+    run-ending nodes with one call; here a run is the run-ending children of
+    one first x measurement, so the runs are the distinct ``path[:-2]``."""
     cfg = ProtocolConfig(n_atoms=10, max_repeats=2, max_rounds=1, prune_threshold=1e-10)
     initial = x_polarized_state(cfg.basis)
     calls = []
@@ -373,13 +378,62 @@ def test_enumeration_corrects_only_nodes_with_a_continuing_child(monkeypatch):
 
     monkeypatch.setattr(analysis_module, "_correct", counted)
     res = enumerate_tree(initial, cfg)
-    bare = len(calls)
+    bare = list(calls)
     calls.clear()
     enumerate_tree(initial, cfg, store_states=True)
     # a terminal of a run-ending node has two outcomes of the x sequence
-    leaf_parents = {t.path[:-1] for t in res.terminals if sum(s[1] == 1 for s in t.path) == 2}
-    assert len(calls) - bare == len(leaf_parents)
-    assert (bare, res.expanded_nodes) == (354, 6178)
+    leaves = [t for t in res.terminals if sum(s[1] == 1 for s in t.path) == 2]
+    assert len(calls) - len(bare) == len({t.path[:-2] for t in leaves})
+    assert sum(calls) - sum(bare) == len(leaves)
+    assert (len(bare), res.expanded_nodes) == (354, 6178)
+
+
+def at_run_end(cfg, path):
+    """Whether a terminal comes from a node at the step whose children all
+    end the run: the last basis of the last round, at the repeat cap."""
+    last = (cfg.max_rounds - 1, len(cfg.basis_order) - 1)
+    return sum(step[:2] == last for step in path) == cfg.max_repeats
+
+
+N4 = dict(n_atoms=4, max_repeats=3, max_rounds=2, prune_threshold=1e-6)
+PATH_TREE = dict(n_atoms=10, max_repeats=2, max_rounds=1, prune_threshold=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kw,cap,reference_cap",
+    [
+        (N4, 1500, 20_000),
+        ({**N4, "sign_rule": "minus"}, 968, 20_000),
+        (PATH_TREE, 1237, None),
+        (PATH_TREE, 3001, None),
+    ],
+    ids=["split", "minus", "path-tree-1237", "path-tree-3001"],
+)
+def test_enumeration_node_cap_cuts_a_run_of_run_ending_nodes(kw, cap, reference_cap):
+    """A cap that falls between two run-ending siblings expands exactly
+    ``cap`` nodes and leaves the rest unexplored: its terminals are the first
+    ones of an enumeration with a larger cap (uncapped for the path tree; the
+    N=4 trees take seconds uncapped, and their first 20 000 nodes are the
+    same).  Storing states, which builds the cut run's children, gives the
+    same tree."""
+    cfg = ProtocolConfig(**kw)
+    initial = x_polarized_state(cfg.basis)
+    reference = enumerate_tree(initial, replace(cfg, node_cap=reference_cap or cfg.node_cap))
+    res = enumerate_tree(initial, replace(cfg, node_cap=cap))
+    # the cap cuts a run: terminals of one node's run-ending children lie on both sides
+    new = enumerate_tree(initial, replace(cfg, node_cap=cap + 1)).terminals[res.terminal_count:]
+    assert new and all(at_run_end(cfg, t.path) for t in new + res.terminals[-1:])
+    assert new[0].path[:-2] == res.terminals[-1].path[:-2]
+    assert res.node_cap_hit and res.expanded_nodes == cap
+    assert reference.expanded_nodes > cap
+    assert res.accounted_mass() == pytest.approx(1.0, abs=1e-12)
+    head = reference.terminals[: res.terminal_count]
+    assert [t.path for t in res.terminals] == [t.path for t in head]
+    for a, b in zip(res.terminals, head):
+        assert (a.capped, a.converged_at) == (b.capped, b.converged_at)
+        assert a.mass == pytest.approx(b.mass, rel=1e-15, abs=0.0)
+        assert a.fidelity == pytest.approx(b.fidelity, rel=1e-15, abs=0.0)
+    assert_same_tree(res, enumerate_tree(initial, replace(cfg, node_cap=cap), store_states=True))
 
 
 def path_flags(cfg, path):
